@@ -4,6 +4,7 @@
 GO ?= go
 
 .PHONY: check vet lint lint-json build test race fuzz golden golden-check \
+	golden-everything golden-everything-check paper-check \
 	compare-golden compare-check metrics-golden metrics-check \
 	sweep-check bench bench-check bench-baseline
 
@@ -49,6 +50,26 @@ golden:
 golden-check:
 	$(GO) run ./cmd/mnoc bench -scale quick > /tmp/bench_quick.txt
 	diff -u testdata/golden/bench_quick.txt /tmp/bench_quick.txt
+
+# Regenerate the golden for all quick-scale entries: the 12 paper
+# tables plus the extension experiments (joint, dynamic, loadsweep, ...)
+# that bench_quick.txt does not cover.
+golden-everything:
+	$(GO) run ./cmd/mnoc bench -scale quick -exp everything > testdata/golden/bench_quick_everything.txt
+
+# Diff every quick-scale entry against its fixture.
+golden-everything-check:
+	$(GO) run ./cmd/mnoc bench -scale quick -exp everything > /tmp/bench_quick_everything.txt
+	diff -u testdata/golden/bench_quick_everything.txt /tmp/bench_quick_everything.txt
+
+# Rebuild the paper-scale results (radix 256, every entry; about a
+# minute on two cores) and diff them byte for byte against the
+# committed paper_results.txt, ignoring only that file's header line
+# and its trailing EXIT=0 line.
+paper-check:
+	$(GO) run ./cmd/mnoc bench -scale paper -exp everything -workers 2 > /tmp/paper_results.txt
+	sed -e '1d' -e '$${/^EXIT=0$$/d;}' paper_results.txt > /tmp/paper_results_want.txt
+	sed -e '1d' /tmp/paper_results.txt | diff -u /tmp/paper_results_want.txt -
 
 # Diff the sharded sweep coordinator's merged stdout against the bench
 # golden (minus its two header lines): pins the byte-identity contract
@@ -114,11 +135,12 @@ fuzz:
 # ---- Performance baseline (docs/BENCH.md) ----------------------------
 
 # The curated hot-path benchmark set tracked in BENCH_baseline.json:
-# splitter solve/recurrence, QAP mapping, multicore-sim inner loop,
+# splitter solve/recurrence, QAP mapping (radix 64 and 256), the
+# dynamic controller's migration scan, multicore-sim inner loop,
 # power evaluation, trace replay, and the serve-path JSON
 # encode/decode pairs.
-BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkQAPTaboo|BenchmarkPowerEvaluate|BenchmarkNoCReplay|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkSplitterRecurrenceRaw|BenchmarkPowerEvalTyped|BenchmarkPowerEvalRaw|BenchmarkJSONPackageEncoding|BenchmarkJSONArtisinalEncoding|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
-BENCH_PKGS = . ./internal/phys ./internal/server
+BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkQAPTaboo|BenchmarkQAPTaboo256|BenchmarkDynamicMigrationScan|BenchmarkPowerEvaluate|BenchmarkNoCReplay|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkSplitterRecurrenceRaw|BenchmarkPowerEvalTyped|BenchmarkPowerEvalRaw|BenchmarkJSONPackageEncoding|BenchmarkJSONArtisinalEncoding|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
+BENCH_PKGS = . ./internal/dynamic ./internal/phys ./internal/server
 BENCH_DATE ?= $(shell date -u +%Y-%m-%d)
 BENCH_FILE ?= BENCH_$(BENCH_DATE).json
 BENCH_SCALE ?= quick

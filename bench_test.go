@@ -150,6 +150,28 @@ func BenchmarkQAPTaboo(b *testing.B) {
 	}
 }
 
+// BenchmarkQAPTaboo256 is BenchmarkQAPTaboo at the paper's radix 256,
+// where the O(n²) per-move delta refresh dominates.
+func BenchmarkQAPTaboo256(b *testing.B) {
+	bench, err := workload.ByName("water_s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := bench.Matrix(256, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prob, err := mapping.FromTraffic(m, splitter.DefaultParams(256).Layout)
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := prob.CenterGreedy()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prob.Taboo(start, mapping.TabooOptions{Seed: int64(i), Iterations: 100})
+	}
+}
+
 // BenchmarkPowerEvaluate measures one full-crossbar power evaluation of
 // a radix-256 traffic matrix under a 4-mode topology.
 func BenchmarkPowerEvaluate(b *testing.B) {

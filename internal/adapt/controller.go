@@ -420,18 +420,7 @@ func (c *Controller) startSolve(w uint64) {
 // re-design for the re-mapped traffic. Pure: deterministic in
 // (obs, prev, seed).
 func resolve(cfg Config, obs *trace.Matrix, prev *Design, window uint64, seed int64, iters int) (*Design, error) {
-	n := cfg.N
-	cost := make([][]float64, n)
-	for c1 := 0; c1 < n; c1++ {
-		row := make([]float64, n)
-		for c2 := 0; c2 < n; c2++ {
-			if mode := prev.Net.Topology.ModeOf[c1][c2]; mode >= 0 {
-				row[c2] = float64(prev.Net.SourceElectricalUW(c1, mode))
-			}
-		}
-		cost[c1] = row
-	}
-	prob, err := mapping.NewProblem(obs.Counts, cost)
+	prob, err := mapping.NewProblem(obs.Counts, prev.Net.ModeCostMatrix())
 	if err != nil {
 		return nil, fmt.Errorf("adapt: re-solve QAP: %w", err)
 	}

@@ -239,17 +239,7 @@ func gatingStandby(n int, mapped *trace.Matrix, pol Policy, cycles float64) (sta
 // saved over the benefit horizon exceeds the migration energy — the
 // controller never migrates when traffic is too light to pay for it.
 func improveMapping(net *power.MNoC, observed *trace.Matrix, cur mapping.Assignment, pol Policy, epochCycles float64) (mapping.Assignment, int, error) {
-	n := net.Cfg.N
-	cost := make([][]float64, n)
-	for c1 := 0; c1 < n; c1++ {
-		cost[c1] = make([]float64, n)
-		for c2 := 0; c2 < n; c2++ {
-			if c1 != c2 {
-				cost[c1][c2] = float64(net.SourceElectricalUW(c1, net.Topology.ModeOf[c1][c2]))
-			}
-		}
-	}
-	prob, err := mapping.NewProblem(observed.Counts, cost)
+	prob, err := mapping.NewProblem(observed.Counts, net.ModeCostMatrix())
 	if err != nil {
 		return cur, 0, err
 	}
@@ -262,22 +252,11 @@ func improveMapping(net *power.MNoC, observed *trace.Matrix, cur mapping.Assignm
 	swaps := pol.MaxMigrationsPerEpoch / 2
 	moved := 0
 	for k := 0; k < swaps; k++ {
-		bestI, bestJ, bestGain := -1, -1, 0.0
-		before := prob.Objective(cand)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				cand[i], cand[j] = cand[j], cand[i]
-				gain := before - prob.Objective(cand)
-				cand[i], cand[j] = cand[j], cand[i]
-				if gain > bestGain {
-					bestI, bestJ, bestGain = i, j, gain
-				}
-			}
-		}
-		if bestI < 0 {
+		i, j, ok := prob.BestSwap(cand)
+		if !ok {
 			break
 		}
-		cand[bestI], cand[bestJ] = cand[bestJ], cand[bestI]
+		cand[i], cand[j] = cand[j], cand[i]
 		moved += 2
 	}
 	if moved == 0 {

@@ -215,3 +215,34 @@ func TestPhasedTraceHelper(t *testing.T) {
 		t.Error("unknown benchmark accepted")
 	}
 }
+
+// BenchmarkDynamicMigrationScan measures one controller migration step
+// at radix 64: the mode-power cost matrix plus up to four greedy
+// best-swap scans over an observed fft epoch.
+func BenchmarkDynamicMigrationScan(b *testing.B) {
+	const n = 64
+	cfg := power.DefaultConfig(n)
+	tp, err := topo.DistanceBased(n, []int{n / 2, n - 1 - n/2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := power.NewMNoC(cfg, tp, power.UniformWeighting(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bench, err := workload.ByName("fft")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := bench.Matrix(n, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pol := DefaultPolicy()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := improveMapping(net, m, mapping.Identity(n), pol, float64(pol.EpochCycles)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

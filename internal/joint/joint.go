@@ -145,11 +145,7 @@ func Optimize(cfg power.Config, profile *trace.Matrix, opt Options) (*Result, er
 		// Candidate mappings against the incumbent design's true mode
 		// powers: continue from the incumbent, restart greedily, and a
 		// randomised restart for diversity.
-		cost, err := modePowerCost(res.Network)
-		if err != nil {
-			return nil, err
-		}
-		mprob, err := mapping.NewProblem(profile.Counts, cost)
+		mprob, err := mapping.NewProblem(profile.Counts, res.Network.ModeCostMatrix())
 		if err != nil {
 			return nil, err
 		}
@@ -199,22 +195,4 @@ func designFor(cfg power.Config, mapped *trace.Matrix, opt Options) (*topo.Topol
 		return topo.BestScoredPartition(mapped, cfg.Splitter,
 			topo.CandidatePartitions4(cfg.N), "joint4")
 	}
-}
-
-// modePowerCost builds the QAP cost matrix from a designed network: the
-// cost of placing a communicating pair on cores (c1,c2) is the QD LED
-// electrical power of c1 transmitting in the mode that reaches c2.
-func modePowerCost(net *power.MNoC) ([][]float64, error) {
-	n := net.Cfg.N
-	cost := make([][]float64, n)
-	for c1 := 0; c1 < n; c1++ {
-		cost[c1] = make([]float64, n)
-		for c2 := 0; c2 < n; c2++ {
-			if c1 == c2 {
-				continue
-			}
-			cost[c1][c2] = float64(net.SourceElectricalUW(c1, net.Topology.ModeOf[c1][c2]))
-		}
-	}
-	return cost, nil
 }

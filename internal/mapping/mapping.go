@@ -108,23 +108,119 @@ func (p *Problem) Objective(a Assignment) float64 {
 	return sum
 }
 
-// swapDelta computes the objective change of swapping the cores of
-// threads r and s (general asymmetric form, O(n)).
-func (p *Problem) swapDelta(a Assignment, r, s int) float64 {
-	ar, as := a[r], a[s]
-	d := p.Flow[r][s]*(p.Cost[as][ar]-p.Cost[ar][as]) +
-		p.Flow[s][r]*(p.Cost[ar][as]-p.Cost[as][ar])
-	for k := 0; k < p.N; k++ {
-		if k == r || k == s {
+// kernel is the flat swap-delta state shared by the QAP searches. It
+// holds Flow and its transpose, and the cost matrix permuted by the
+// current assignment, b[k·n+l] = Cost[cur[k]][cur[l]], and its
+// transpose, all n×n row-major. Every swap delta then reads contiguous
+// rows with no assignment indirection, and a committed swap exchanges
+// rows and columns u, v of b and bt in O(n).
+type kernel struct {
+	n     int
+	f, ft []float64
+	b, bt []float64
+	tmp   []float64 // 4n scratch for refresh
+}
+
+func (p *Problem) newKernel(a Assignment) kernel {
+	n := p.N
+	buf := make([]float64, 4*n*n+4*n)
+	k := kernel{n: n,
+		f: buf[:n*n], ft: buf[n*n : 2*n*n],
+		b: buf[2*n*n : 3*n*n], bt: buf[3*n*n : 4*n*n],
+		tmp: buf[4*n*n:],
+	}
+	for i := 0; i < n; i++ {
+		fi, ci := p.Flow[i], p.Cost[a[i]]
+		for j := 0; j < n; j++ {
+			k.f[i*n+j], k.ft[j*n+i] = fi[j], fi[j]
+			k.b[i*n+j], k.bt[j*n+i] = ci[a[j]], ci[a[j]]
+		}
+	}
+	return k
+}
+
+func (k *kernel) row(m []float64, i int) []float64 { return m[i*k.n : (i+1)*k.n] }
+
+// delta is the objective change of swapping the cores of threads r and
+// s (general asymmetric form, O(n)). Its expression and summation order
+// are those of the same sum written over Flow and Cost[cur[·]][·], so
+// the value is bit-identical to that form.
+func (k *kernel) delta(r, s int) float64 {
+	fr, fs := k.row(k.f, r), k.row(k.f, s)
+	ftr, fts := k.row(k.ft, r), k.row(k.ft, s)
+	br, bs := k.row(k.b, r), k.row(k.b, s)
+	btr, bts := k.row(k.bt, r), k.row(k.bt, s)
+	d := fr[s]*(bs[r]-br[s]) + fs[r]*(br[s]-bs[r])
+	fs, ftr, fts = fs[:len(fr)], ftr[:len(fr)], fts[:len(fr)]
+	br, bs, btr, bts = br[:len(fr)], bs[:len(fr)], btr[:len(fr)], bts[:len(fr)]
+	for j := range fr {
+		if j == r || j == s {
 			continue
 		}
-		ak := a[k]
-		d += p.Flow[k][r]*(p.Cost[ak][as]-p.Cost[ak][ar]) +
-			p.Flow[k][s]*(p.Cost[ak][ar]-p.Cost[ak][as]) +
-			p.Flow[r][k]*(p.Cost[as][ak]-p.Cost[ar][ak]) +
-			p.Flow[s][k]*(p.Cost[ar][ak]-p.Cost[as][ak])
+		d += ftr[j]*(bts[j]-btr[j]) +
+			fts[j]*(btr[j]-bts[j]) +
+			fr[j]*(bs[j]-br[j]) +
+			fs[j]*(br[j]-bs[j])
 	}
 	return d
+}
+
+// swap commits the exchange of threads u and v: rows and columns u, v
+// of the permuted cost and of its transpose trade places.
+func (k *kernel) swap(u, v int) {
+	for _, m := range [2][]float64{k.b, k.bt} {
+		ru, rv := k.row(m, u), k.row(m, v)
+		for j := range ru {
+			ru[j], rv[j] = rv[j], ru[j]
+		}
+		for i := u; i < len(m); i += k.n {
+			m[i], m[i+v-u] = m[i+v-u], m[i]
+		}
+	}
+}
+
+// refresh brings the cached swap deltas delta[r·n+s] (r < s) up to
+// date after swap(u, v). Pairs touching {u, v} are recomputed; the rest
+// get Taillard's O(1) incremental update, read off the already-swapped
+// permuted cost (row u of b is thread u's new row). Each update keeps
+// the textbook expression and its evaluation order, so the table stays
+// bit-identical to one maintained over Flow and Cost[cur[·]][·].
+func (k *kernel) refresh(delta []float64, u, v int) {
+	n := k.n
+	// x[i] = Flow[i][u]−Flow[i][v], y[i] = Flow[u][i]−Flow[v][i], and
+	// the matching differences of the permuted cost's columns and rows.
+	x, y, cuv, ruv := k.tmp[:n], k.tmp[n:2*n], k.tmp[2*n:3*n], k.tmp[3*n:4*n]
+	ftu, ftv, fu, fv := k.row(k.ft, u), k.row(k.ft, v), k.row(k.f, u), k.row(k.f, v)
+	btu, btv, bu, bv := k.row(k.bt, u), k.row(k.bt, v), k.row(k.b, u), k.row(k.b, v)
+	for i := range x {
+		x[i] = ftu[i] - ftv[i]
+		y[i] = fu[i] - fv[i]
+		cuv[i] = btu[i] - btv[i]
+		ruv[i] = bu[i] - bv[i]
+	}
+	for r := 0; r < n; r++ {
+		dr := delta[r*n : (r+1)*n]
+		if r == u || r == v {
+			for s := r + 1; s < n; s++ {
+				dr[s] = k.delta(r, s)
+			}
+			continue
+		}
+		xr, yr, cr, rr := x[r], y[r], cuv[r], ruv[r]
+		btur, btvr, bur, bvr := btu[r], btv[r], bu[r], bv[r]
+		for s := r + 1; s < len(dr); s++ {
+			if s == u || s == v {
+				dr[s] = k.delta(r, s)
+				continue
+			}
+			d := dr[s]
+			d += xr * (cuv[s] + btvr - btur)
+			d += x[s] * (cr + btv[s] - btu[s])
+			d += yr * (ruv[s] + bvr - bur)
+			d += y[s] * (rr + bv[s] - bu[s])
+			dr[s] = d
+		}
+	}
 }
 
 // TabooOptions tunes the robust taboo search.
@@ -133,59 +229,49 @@ type TabooOptions struct {
 	Iterations int
 	// Seed makes runs reproducible.
 	Seed int64
-	// MinTenure/MaxTenure bound the randomised tabu tenure
-	// (defaults 0.9·n and 1.1·n, per Taillard's robust scheme).
-	MinTenure, MaxTenure int
-}
-
-func (o *TabooOptions) fill(n int) {
-	if o.Iterations <= 0 {
-		o.Iterations = 40 * n
-	}
-	if o.MinTenure <= 0 {
-		o.MinTenure = int(0.9 * float64(n))
-	}
-	if o.MaxTenure <= o.MinTenure {
-		o.MaxTenure = int(1.1*float64(n)) + 1
-	}
 }
 
 // Taboo runs Taillard's robust taboo search from the given start
-// assignment (copied, not mutated) and returns the best found.
+// assignment (copied, not mutated) and returns the best found. The
+// tabu tenure is drawn uniformly from [0.9·n, 1.1·n] per move
+// (Taillard's robust scheme).
 //
 //mnoclint:hot
 func (p *Problem) Taboo(start Assignment, opt TabooOptions) Assignment {
-	opt.fill(p.N)
-	rng := rand.New(rand.NewSource(opt.Seed))
 	n := p.N
+	iters := opt.Iterations
+	if iters <= 0 {
+		iters = 40 * n
+	}
+	minTenure := int(0.9 * float64(n))
+	maxTenure := int(1.1*float64(n)) + 1
+	rng := rand.New(rand.NewSource(opt.Seed))
 
 	cur := append(Assignment(nil), start...)
 	best := append(Assignment(nil), cur...)
 	curV := p.Objective(cur)
 	bestV := curV
+	k := p.newKernel(cur)
 
-	// delta[r][s] caches swapDelta(cur, r, s) for r < s.
-	delta := make([][]float64, n)
-	for r := range delta {
-		delta[r] = make([]float64, n)
+	// delta[r·n+s] caches the swap delta of (r, s) for r < s.
+	delta := make([]float64, n*n)
+	for r := 0; r < n; r++ {
 		for s := r + 1; s < n; s++ {
-			delta[r][s] = p.swapDelta(cur, r, s)
+			delta[r*n+s] = k.delta(r, s)
 		}
 	}
-	// tabuUntil[t][c] forbids placing thread t back on core c until the
+	// tabuUntil[t·n+c] forbids placing thread t back on core c until the
 	// stored iteration.
-	tabuUntil := make([][]int, n)
-	for t := range tabuUntil {
-		tabuUntil[t] = make([]int, n)
-	}
+	tabuUntil := make([]int, n*n)
 
-	for iter := 1; iter <= opt.Iterations; iter++ {
+	for iter := 1; iter <= iters; iter++ {
 		bestR, bestS := -1, -1
 		bestD := math.Inf(1)
 		for r := 0; r < n; r++ {
+			dr, tr := delta[r*n:(r+1)*n], tabuUntil[r*n:(r+1)*n]
 			for s := r + 1; s < n; s++ {
-				d := delta[r][s]
-				tabu := iter < tabuUntil[r][cur[s]] || iter < tabuUntil[s][cur[r]]
+				d := dr[s]
+				tabu := iter < tr[cur[s]] || iter < tabuUntil[s*n+cur[r]]
 				aspired := curV+d < bestV-1e-12
 				if tabu && !aspired {
 					continue
@@ -202,42 +288,84 @@ func (p *Problem) Taboo(start Assignment, opt TabooOptions) Assignment {
 			if bestR > bestS {
 				bestR, bestS = bestS, bestR
 			}
-			bestD = delta[bestR][bestS]
+			bestD = delta[bestR*n+bestS]
 		}
 
 		u, v := bestR, bestS
-		tenure := opt.MinTenure + rng.Intn(opt.MaxTenure-opt.MinTenure)
-		tabuUntil[u][cur[u]] = iter + tenure
-		tabuUntil[v][cur[v]] = iter + tenure
+		tenure := minTenure + rng.Intn(maxTenure-minTenure)
+		tabuUntil[u*n+cur[u]] = iter + tenure
+		tabuUntil[v*n+cur[v]] = iter + tenure
 
 		cur[u], cur[v] = cur[v], cur[u]
+		k.swap(u, v)
 		curV += bestD
 		if curV < bestV {
 			bestV = curV
 			copy(best, cur)
 		}
 
-		// Refresh the delta cache. Pairs touching {u,v} are recomputed;
-		// the rest get Taillard's O(1) incremental update.
-		for r := 0; r < n; r++ {
-			for s := r + 1; s < n; s++ {
-				if r == u || r == v || s == u || s == v {
-					delta[r][s] = p.swapDelta(cur, r, s)
-					continue
-				}
-				ar, as, au, av := cur[r], cur[s], cur[u], cur[v]
-				// cur is already swapped: au is thread u's new core
-				// (the old core of v) and vice versa.
-				d := delta[r][s]
-				d += (p.Flow[r][u] - p.Flow[r][v]) * (p.Cost[as][au] - p.Cost[as][av] + p.Cost[ar][av] - p.Cost[ar][au])
-				d += (p.Flow[s][u] - p.Flow[s][v]) * (p.Cost[ar][au] - p.Cost[ar][av] + p.Cost[as][av] - p.Cost[as][au])
-				d += (p.Flow[u][r] - p.Flow[v][r]) * (p.Cost[au][as] - p.Cost[av][as] + p.Cost[av][ar] - p.Cost[au][ar])
-				d += (p.Flow[u][s] - p.Flow[v][s]) * (p.Cost[au][ar] - p.Cost[av][ar] + p.Cost[av][as] - p.Cost[au][as])
-				delta[r][s] = d
+		k.refresh(delta, u, v)
+	}
+	return best
+}
+
+// BestSwap returns the swap r < s of assignment a that lowers the
+// objective most, chosen exactly as a full scan does it: price every
+// swap as Objective(a) − Objective(a with r, s swapped) and keep the
+// lexicographically first strictly largest gain above zero. ok is false
+// when no swap improves.
+//
+// The scan costs O(n³), not O(n⁴): every swap is screened with the O(n)
+// delta, and only the swaps whose screened gain lies within tol of the
+// best are re-priced with the full Objective. With S = Σ|Flow|·max|Cost|
+// bounding every term sum, each Objective is off by at most n²·u·S and
+// each delta by (8n+8)·u·S (u = 2⁻⁵³, recursive summation), so a
+// screened gain is within tol/2 of the scan's gain whenever
+// tol ≥ 16·n²·ε·S. Every swap the scan could pick then passes the
+// screen, and a swap screened below −tol/2 cannot have a positive
+// scanned gain.
+func (p *Problem) BestSwap(a Assignment) (r, s int, ok bool) {
+	n := p.N
+	k := p.newKernel(a)
+	var flowSum, costMax float64
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			flowSum += math.Abs(p.Flow[i][j])
+			costMax = math.Max(costMax, math.Abs(p.Cost[i][j]))
+		}
+	}
+	tol := flowSum * costMax * math.Max(1e-9, 16*float64(n*n)*0x1p-52)
+
+	// gain[i·n+j] is the screened gain of swap (i, j), i < j.
+	gain := make([]float64, n*n)
+	top := math.Inf(-1)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			g := -k.delta(i, j)
+			gain[i*n+j] = g
+			top = math.Max(top, g)
+		}
+	}
+	floor := math.Max(top-tol, -tol/2)
+
+	cand := append(Assignment(nil), a...)
+	before := p.Objective(cand)
+	r, s = -1, -1
+	bestGain := 0.0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if gain[i*n+j] < floor {
+				continue
+			}
+			cand[i], cand[j] = cand[j], cand[i]
+			g := before - p.Objective(cand)
+			cand[i], cand[j] = cand[j], cand[i]
+			if g > bestGain {
+				r, s, bestGain = i, j, g
 			}
 		}
 	}
-	return best
+	return r, s, r >= 0
 }
 
 // AnnealOptions tunes the simulated annealing run.
@@ -265,14 +393,15 @@ func (p *Problem) Anneal(start Assignment, opt AnnealOptions) Assignment {
 	best := append(Assignment(nil), cur...)
 	curV := p.Objective(cur)
 	bestV := curV
+	k := p.newKernel(cur)
 
 	// Sample deltas to pick Connolly's T0 = Δmin + (Δmax−Δmin)/10 and
 	// Tf = Δmin.
 	dmin, dmax := math.Inf(1), math.Inf(-1)
-	for k := 0; k < 2*n; k++ {
+	for i := 0; i < 2*n; i++ {
 		r := rng.Intn(n)
 		s := (r + 1 + rng.Intn(n-1)) % n
-		d := math.Abs(p.swapDelta(cur, r, s))
+		d := math.Abs(k.delta(r, s))
 		if d == 0 {
 			continue
 		}
@@ -294,9 +423,10 @@ func (p *Problem) Anneal(start Assignment, opt AnnealOptions) Assignment {
 	for iter := 0; iter < opt.Iterations; iter++ {
 		r := rng.Intn(n)
 		s := (r + 1 + rng.Intn(n-1)) % n
-		d := p.swapDelta(cur, r, s)
+		d := k.delta(r, s)
 		if d < 0 || rng.Float64() < math.Exp(-d/temp) {
 			cur[r], cur[s] = cur[s], cur[r]
+			k.swap(r, s)
 			curV += d
 			if curV < bestV {
 				bestV = curV

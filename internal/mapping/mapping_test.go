@@ -69,13 +69,15 @@ func TestIdentityAndValidate(t *testing.T) {
 func TestSwapDeltaMatchesObjective(t *testing.T) {
 	p := randomProblem(t, 12, 3)
 	a := Identity(12)
+	k := p.newKernel(a)
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 50; trial++ {
 		r := rng.Intn(12)
 		s := (r + 1 + rng.Intn(11)) % 12
 		before := p.Objective(a)
-		d := p.swapDelta(a, r, s)
+		d := k.delta(r, s)
 		a[r], a[s] = a[s], a[r]
+		k.swap(r, s)
 		after := p.Objective(a)
 		if math.Abs((after-before)-d) > 1e-6*math.Max(1, math.Abs(d)) {
 			t.Fatalf("trial %d: delta %v, actual %v", trial, d, after-before)
@@ -95,29 +97,33 @@ func TestTabooImprovesOverIdentity(t *testing.T) {
 	}
 }
 
+// TestTabooFindsOptimumOnTinyInstance is the exhaustive oracle: on
+// every n ≤ 8 instance, robust taboo with default settings reaches the
+// optimum over all n! permutations.
 func TestTabooFindsOptimumOnTinyInstance(t *testing.T) {
-	// 4 threads: exhaustive optimum vs taboo.
-	p := randomProblem(t, 4, 9)
-	best := math.Inf(1)
-	perm := []int{0, 1, 2, 3}
-	var rec func(k int)
-	rec = func(k int) {
-		if k == 4 {
-			if v := p.Objective(perm); v < best {
-				best = v
+	for n := 2; n <= 8; n++ {
+		for seed := int64(1); seed <= 3; seed++ {
+			p := asymmetricProblem(t, n, 1000*int64(n)+seed)
+			best := math.Inf(1)
+			perm := Identity(n)
+			var rec func(k int)
+			rec = func(k int) {
+				if k == n {
+					best = math.Min(best, p.Objective(perm))
+					return
+				}
+				for i := k; i < n; i++ {
+					perm[k], perm[i] = perm[i], perm[k]
+					rec(k + 1)
+					perm[k], perm[i] = perm[i], perm[k]
+				}
 			}
-			return
+			rec(0)
+			got := p.Objective(p.Taboo(shuffled(n, seed), TabooOptions{Seed: seed}))
+			if math.Abs(got-best) > 1e-9*math.Max(1, best) {
+				t.Errorf("n=%d seed=%d: taboo found %v, optimum %v", n, seed, got, best)
+			}
 		}
-		for i := k; i < 4; i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			rec(k + 1)
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-	}
-	rec(0)
-	got := p.Taboo(Identity(4), TabooOptions{Seed: 2, Iterations: 200})
-	if v := p.Objective(got); math.Abs(v-best) > 1e-9 {
-		t.Errorf("taboo found %v, optimum %v", v, best)
 	}
 }
 

@@ -412,6 +412,25 @@ func (m *MNoC) SourceElectricalUW(src, mode int) phys.MicroWatts {
 	return m.Cfg.QDLED.ElectricalPower(m.Designs[src].ModePowerUW[mode])
 }
 
+// ModeCostMatrix is the thread-mapping QAP cost of the designed
+// network: entry [c1][c2] is the QD LED electrical power (µW) of c1
+// transmitting in the mode that reaches c2, and 0 on the diagonal and
+// wherever the topology assigns no mode.
+func (m *MNoC) ModeCostMatrix() [][]float64 {
+	n := m.Cfg.N
+	cost := make([][]float64, n)
+	flat := make([]float64, n*n)
+	for c1 := range cost {
+		cost[c1], flat = flat[:n:n], flat[n:]
+		for c2, mode := range m.Topology.ModeOf[c1] {
+			if mode >= 0 {
+				cost[c1][c2] = float64(m.SourceElectricalUW(c1, mode))
+			}
+		}
+	}
+	return cost
+}
+
 // Evaluate computes the average power of carrying the traffic matrix mtx
 // (flit counts, core-indexed — apply the thread mapping with
 // Matrix.Permute first) over a window of `cycles` clock cycles.

@@ -197,6 +197,30 @@ func TestSourceElectricalUWProfile(t *testing.T) {
 	}
 }
 
+func TestModeCostMatrix(t *testing.T) {
+	n := 16
+	tp, err := topo.DistanceBased(n, []int{5, 5, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMNoC(DefaultConfig(n), tp, UniformWeighting(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := m.ModeCostMatrix()
+	for c1 := 0; c1 < n; c1++ {
+		for c2 := 0; c2 < n; c2++ {
+			want := 0.0
+			if c1 != c2 {
+				want = float64(m.SourceElectricalUW(c1, tp.ModeOf[c1][c2]))
+			}
+			if cost[c1][c2] != want {
+				t.Fatalf("cost[%d][%d] = %v, want %v", c1, c2, cost[c1][c2], want)
+			}
+		}
+	}
+}
+
 func TestNewMNoCRejections(t *testing.T) {
 	cfg := DefaultConfig(16)
 	tp := topo.SingleMode(8)

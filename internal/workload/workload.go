@@ -14,9 +14,11 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mnoc/internal/trace"
@@ -242,8 +244,15 @@ func (b Benchmark) Trace(n int, cycles uint64, totalFlits int, seed int64) (*tra
 			Src:   int32(p.s), Dst: int32(p.d), Flits: 1,
 		}
 	}
-	sort.Slice(tr.Packets, func(i, j int) bool { return tr.Packets[i].Cycle < tr.Packets[j].Cycle })
+	sortByCycle(tr.Packets)
 	return tr, nil
+}
+
+// sortByCycle orders packets by injection cycle. The typed sort runs the
+// same pdqsort as sort.Slice, so equal-cycle packets land in the same
+// order as they would under it.
+func sortByCycle(ps []trace.Packet) {
+	slices.SortFunc(ps, func(a, b trace.Packet) int { return cmp.Compare(a.Cycle, b.Cycle) })
 }
 
 // Phase describes one segment of a phased workload.

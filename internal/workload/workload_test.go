@@ -2,7 +2,9 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"mnoc/internal/trace"
@@ -270,6 +272,26 @@ func TestGridAndBoxFactorisations(t *testing.T) {
 		x, y, z := box(n)
 		if x*y*z != n {
 			t.Errorf("box(%d) = %dx%dx%d", n, x, y, z)
+		}
+	}
+}
+
+// TestSortByCycleMatchesSortSlice pins the equal-cycle order of the
+// typed trace sort to that of sort.Slice with the same less function,
+// on traces where most packets share a cycle with others.
+func TestSortByCycleMatchesSortSlice(t *testing.T) {
+	for _, tc := range []struct{ n, cycles int }{{12, 1}, {200, 3}, {5000, 40}, {100000, 1000}} {
+		rng := rand.New(rand.NewSource(int64(tc.n)))
+		ps := make([]trace.Packet, tc.n)
+		for i := range ps {
+			// Src tags each packet so equal-cycle reorderings show.
+			ps[i] = trace.Packet{Cycle: uint64(rng.Intn(tc.cycles)), Src: int32(i), Flits: 1}
+		}
+		want := append([]trace.Packet(nil), ps...)
+		sort.Slice(want, func(i, j int) bool { return want[i].Cycle < want[j].Cycle })
+		sortByCycle(ps)
+		if !reflect.DeepEqual(ps, want) {
+			t.Fatalf("n=%d cycles=%d: typed sort order differs from sort.Slice", tc.n, tc.cycles)
 		}
 	}
 }
