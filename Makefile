@@ -137,9 +137,9 @@ fuzz:
 # The curated hot-path benchmark set tracked in BENCH_baseline.json:
 # splitter solve/recurrence, QAP mapping (radix 64 and 256), the
 # dynamic controller's migration scan, multicore-sim inner loop,
-# power evaluation, trace replay, and the serve-path JSON
-# encode/decode pairs.
-BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkQAPTaboo|BenchmarkQAPTaboo256|BenchmarkDynamicMigrationScan|BenchmarkPowerEvaluate|BenchmarkNoCReplay|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkSplitterRecurrenceRaw|BenchmarkPowerEvalTyped|BenchmarkPowerEvalRaw|BenchmarkJSONPackageEncoding|BenchmarkJSONArtisinalEncoding|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
+# power evaluation, trace replay (plain and with telemetry, radix 16
+# to 256), and the serve-path JSON encode/decode pairs.
+BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkQAPTaboo|BenchmarkQAPTaboo256|BenchmarkDynamicMigrationScan|BenchmarkPowerEvaluate|BenchmarkNoCReplay|BenchmarkNoCReplayObserved|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkSplitterRecurrenceRaw|BenchmarkPowerEvalTyped|BenchmarkPowerEvalRaw|BenchmarkJSONPackageEncoding|BenchmarkJSONArtisinalEncoding|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
 BENCH_PKGS = . ./internal/dynamic ./internal/phys ./internal/server
 BENCH_DATE ?= $(shell date -u +%Y-%m-%d)
 BENCH_FILE ?= BENCH_$(BENCH_DATE).json

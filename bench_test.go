@@ -11,6 +11,7 @@ package main_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"mnoc/internal/power"
 	"mnoc/internal/sim"
 	"mnoc/internal/splitter"
+	"mnoc/internal/telemetry"
 	"mnoc/internal/topo"
 	"mnoc/internal/workload"
 )
@@ -196,26 +198,42 @@ func BenchmarkPowerEvaluate(b *testing.B) {
 	}
 }
 
+// replayRadixes are the network sizes of the replay benchmarks: a
+// scaling curve from 16 nodes to the paper's radix 256.
+var replayRadixes = []int{16, 32, 64, 128, 256}
+
 // BenchmarkNoCReplay measures replaying a 20k-packet trace through the
-// radix-256 mNoC timing model.
-func BenchmarkNoCReplay(b *testing.B) {
+// mNoC timing model at each radix, uninstrumented.
+func BenchmarkNoCReplay(b *testing.B) { benchReplay(b, nil) }
+
+// BenchmarkNoCReplayObserved is BenchmarkNoCReplay with a registry
+// attached, as the load sweep replays: it adds the noc.replay.*
+// telemetry the sweep pays on top of the replay itself.
+func BenchmarkNoCReplayObserved(b *testing.B) { benchReplay(b, telemetry.NewRegistry()) }
+
+func benchReplay(b *testing.B, reg *telemetry.Registry) {
 	bench, err := workload.ByName("radix")
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := bench.Trace(256, 100000, 20000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := noc.NewMNoC(256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := noc.Replay(net, tr); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range replayRadixes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			tr, err := bench.Trace(n, 100000, 20000, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			net, err := noc.NewMNoC(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := noc.ReplayObserved(net, tr, reg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

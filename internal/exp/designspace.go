@@ -2,7 +2,10 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"mnoc/internal/noc"
 	"mnoc/internal/phys"
@@ -178,53 +181,89 @@ func TrimSweep(ctx context.Context, c *Context) (*Table, error) {
 // the clustered rNoC, and the MWSR variant. It locates each design's
 // saturation knee — the flat crossbar sustains the highest load because
 // nothing is shared between sources except destinations.
+//
+// The load points are independent, so they run concurrently (at most
+// GOMAXPROCS at once), heaviest first so that the last point to start
+// is the cheapest. Rows are indexed by load, so the table does not
+// depend on the schedule.
 func LoadSweep(ctx context.Context, c *Context) (*Table, error) {
-	n := c.Opt.N
-	const cycles = 50_000
 	bench, err := workload.Synthetic("uniform")
 	if err != nil {
 		return nil, fmt.Errorf("exp: loadsweep: uniform workload: %w", err)
 	}
-	t := &Table{
+	loads := []float64{0.05, 0.1, 0.2, 0.4, 0.6, 0.8}
+	rows := make([][]string, len(loads))
+	errs := make([]error, len(loads))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+launch:
+	for i := len(loads) - 1; i >= 0; i-- {
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
+			break launch
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer func() { <-sem; wg.Done() }()
+			rows[i], errs[i] = loadSweepRow(ctx, c, bench, loads[i])
+		}(i)
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("exp: loadsweep: %w", err)
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return &Table{
 		ID:     "loadsweep",
 		Title:  "Load-latency curves (uniform traffic, avg packet latency in cycles)",
 		Header: []string{"flits/cycle/node", "mNoC", "rNoC", "MWSR"},
 		Notes: []string{
 			"4-flit packets; latencies grow toward each design's saturation knee",
 		},
+		Rows: rows,
+	}, nil
+}
+
+// loadSweepRow is one LoadSweep point: a uniform trace at `load` flits
+// per cycle per node, replayed on each of the three networks.
+func loadSweepRow(ctx context.Context, c *Context, bench workload.Benchmark, load float64) ([]string, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	for _, load := range []float64{0.05, 0.1, 0.2, 0.4, 0.6, 0.8} {
-		// `load` is flits per cycle per node; packets carry 4 flits.
-		packets := int(load * float64(n) * cycles / 4)
-		tr, err := bench.Trace(n, cycles, packets, c.Opt.Seed)
+	n := c.Opt.N
+	const cycles = 50_000
+	// `load` is flits per cycle per node; packets carry 4 flits.
+	packets := int(load * float64(n) * cycles / 4)
+	tr, err := bench.Trace(n, cycles, packets, c.Opt.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("exp: loadsweep: trace at load %.2f: %w", load, err)
+	}
+	for i := range tr.Packets {
+		tr.Packets[i].Flits = 4
+	}
+	row := []string{fmt.Sprintf("%.2f", load)}
+	for _, mk := range []string{"mnoc", "rnoc", "mwsr"} {
+		var net noc.Network
+		var err error
+		switch mk {
+		case "mnoc":
+			net, err = noc.NewMNoC(n)
+		case "rnoc":
+			net, err = noc.NewRNoC(n, 4)
+		case "mwsr":
+			net, err = noc.NewMWSR(n)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("exp: loadsweep: trace at load %.2f: %w", load, err)
+			return nil, fmt.Errorf("exp: loadsweep: %s network: %w", mk, err)
 		}
-		for i := range tr.Packets {
-			tr.Packets[i].Flits = 4
+		st, err := noc.ReplayObserved(net, tr, c.reg)
+		if err != nil {
+			return nil, fmt.Errorf("exp: loadsweep: replay on %s: %w", mk, err)
 		}
-		row := []string{fmt.Sprintf("%.2f", load)}
-		for _, mk := range []string{"mnoc", "rnoc", "mwsr"} {
-			var net noc.Network
-			var err error
-			switch mk {
-			case "mnoc":
-				net, err = noc.NewMNoC(n)
-			case "rnoc":
-				net, err = noc.NewRNoC(n, 4)
-			case "mwsr":
-				net, err = noc.NewMWSR(n)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("exp: loadsweep: %s network: %w", mk, err)
-			}
-			st, err := noc.ReplayObserved(net, tr, c.reg)
-			if err != nil {
-				return nil, fmt.Errorf("exp: loadsweep: replay on %s: %w", mk, err)
-			}
-			row = append(row, f2(st.AvgLatency))
-		}
-		t.Rows = append(t.Rows, row)
+		row = append(row, f2(st.AvgLatency))
 	}
-	return t, nil
+	return row, nil
 }

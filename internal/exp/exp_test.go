@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -859,6 +860,20 @@ func TestLoadSweep(t *testing.T) {
 		if mn, rn := cell(t, tbl, i, 1), cell(t, tbl, i, 2); mn >= rn {
 			t.Errorf("row %d: mNoC latency %v not below rNoC %v", i, mn, rn)
 		}
+	}
+}
+
+// TestLoadSweepCancelled checks that a cancelled context stops the
+// sweep: LoadSweep returns the context's error, not a table.
+func TestLoadSweepCancelled(t *testing.T) {
+	cctx, cancel := context.WithCancel(bg)
+	cancel()
+	tbl, err := LoadSweep(cctx, ctx(t))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if tbl != nil {
+		t.Errorf("cancelled sweep returned a table: %+v", tbl)
 	}
 }
 

@@ -333,13 +333,35 @@ type ReplayStats struct {
 
 // ReplayLatencyBuckets are the bucket bounds (cycles) of the
 // noc.replay.latency_cycles histogram recorded by ReplayObserved.
-var ReplayLatencyBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}
+var ReplayLatencyBuckets = [...]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}
 
-// replayLatsPool recycles the per-replay latency scratch (one uint64
-// per packet, only needed to extract the percentiles) so a sweep of
-// replays over large traces does not regrow a multi-megabyte slice on
-// every call.
-var replayLatsPool = sync.Pool{
+// replayBuckets is the number of noc.replay.latency_cycles buckets,
+// the +Inf overflow included.
+const replayBuckets = len(ReplayLatencyBuckets) + 1
+
+// replayBucketOf maps a latency of at most the last finite bound to its
+// noc.replay.latency_cycles bucket (the first bound >= the latency),
+// so a replay counts its buckets locally with one table lookup per
+// packet; larger latencies overflow.
+var replayBucketOf = func() []uint8 {
+	last := ReplayLatencyBuckets[len(ReplayLatencyBuckets)-1]
+	t := make([]uint8, int(last)+1)
+	b := 0
+	for lat := range t {
+		for ReplayLatencyBuckets[b] < float64(lat) {
+			b++
+		}
+		t[lat] = uint8(b)
+	}
+	return t
+}()
+
+// replayScratchPool recycles the per-replay scratch: the latency of
+// every packet, then the per-latency counts the percentiles are
+// selected from. Both are uint64 slices, so one pool serves both, and a
+// sweep of replays over large traces does not regrow multi-megabyte
+// slices on every call.
+var replayScratchPool = sync.Pool{
 	New: func() any { s := make([]uint64, 0, 4096); return &s },
 }
 
@@ -352,51 +374,96 @@ func Replay(net Network, tr *trace.Trace) (ReplayStats, error) {
 	return ReplayObserved(net, tr, nil)
 }
 
-// ReplayObserved is Replay with per-packet telemetry: each packet's
-// tail latency lands in the noc.replay.latency_cycles histogram, and
-// the noc.replay.packets/flits counters accumulate across replays.
-// A nil registry degrades to plain Replay.
+// ReplayObserved is Replay with telemetry: the packets' tail latencies
+// land in the noc.replay.latency_cycles histogram, and the
+// noc.replay.packets/flits counters accumulate across replays. The
+// replay counts locally and publishes once at its end, so concurrent
+// replays contend on no per-packet atomics. A nil registry degrades to
+// plain Replay.
 func ReplayObserved(net Network, tr *trace.Trace, reg *telemetry.Registry) (ReplayStats, error) {
 	if tr.N != net.N() {
 		return ReplayStats{}, fmt.Errorf("noc: trace for %d nodes, network for %d", tr.N, net.N())
 	}
 	net.Reset()
-	latHist := reg.Histogram("noc.replay.latency_cycles", ReplayLatencyBuckets...)
+	latHist := reg.Histogram("noc.replay.latency_cycles", ReplayLatencyBuckets[:]...)
 	packetsC := reg.Counter("noc.replay.packets")
 	flitsC := reg.Counter("noc.replay.flits")
 	st := ReplayStats{TraceCycles: tr.Cycles, NetworkName: net.Name()}
-	var latSum float64
-	latsp := replayLatsPool.Get().(*[]uint64)
+	var latSum uint64
+	var buckets [replayBuckets]uint64
+	latsp := replayScratchPool.Get().(*[]uint64)
 	lats := (*latsp)[:0]
 	for i, p := range tr.Packets {
 		arr, err := net.Send(p.Cycle, int(p.Src), int(p.Dst), int(p.Flits))
 		if err != nil {
 			*latsp = lats[:0]
-			replayLatsPool.Put(latsp)
+			replayScratchPool.Put(latsp)
 			return ReplayStats{}, fmt.Errorf("noc: packet %d: %w", i, err)
 		}
 		lat := arr - p.Cycle
-		latSum += float64(lat)
+		latSum += lat
 		lats = append(lats, lat)
-		latHist.Observe(float64(lat))
-		packetsC.Inc()
-		flitsC.Add(uint64(p.Flits))
+		if latHist != nil {
+			if lat < uint64(len(replayBucketOf)) {
+				buckets[replayBucketOf[lat]]++
+			} else {
+				buckets[replayBuckets-1]++
+			}
+		}
 		if lat > st.MaxLatency {
 			st.MaxLatency = lat
 		}
 		if arr > st.FinishCycle {
 			st.FinishCycle = arr
 		}
-		st.Packets++
 		st.TotalFlits += int64(p.Flits)
 	}
+	st.Packets = len(lats)
 	if st.Packets > 0 {
-		st.AvgLatency = latSum / float64(st.Packets)
-		slices.Sort(lats)
-		st.P50Latency = lats[len(lats)/2]
-		st.P99Latency = lats[len(lats)*99/100]
+		// Latency sums stay far below 2^53, so the integer sum converts
+		// exactly: the same value as summing float64 latencies in order.
+		st.AvgLatency = float64(latSum) / float64(st.Packets)
+		st.P50Latency, st.P99Latency = latencyPercentiles(lats, st.MaxLatency)
 	}
+	latHist.Merge(buckets[:], float64(latSum))
+	packetsC.Add(uint64(st.Packets))
+	flitsC.Add(uint64(st.TotalFlits))
 	*latsp = lats[:0]
-	replayLatsPool.Put(latsp)
+	replayScratchPool.Put(latsp)
 	return st, nil
+}
+
+// latencyPercentiles returns the P50 and P99 order statistics of lats
+// (the values at sorted indexes len/2 and len*99/100), whose largest
+// value is maxLat. When the latency range is no wider than the sample it
+// counts each latency and walks the counts, O(len + maxLat) with no sort;
+// a sparse wide range (a few huge latencies) sorts instead, so the
+// count buffer never outgrows the latency slice.
+func latencyPercentiles(lats []uint64, maxLat uint64) (p50, p99 uint64) {
+	r50, r99 := uint64(len(lats)/2), uint64(len(lats)*99/100)
+	if maxLat >= uint64(len(lats)) {
+		slices.Sort(lats)
+		return lats[r50], lats[r99]
+	}
+	countsp := replayScratchPool.Get().(*[]uint64)
+	counts := slices.Grow((*countsp)[:0], int(maxLat)+1)[:maxLat+1]
+	clear(counts)
+	for _, l := range lats {
+		counts[l]++
+	}
+	// The value at sorted index r is the smallest v with more than r
+	// latencies <= v; seen counts the latencies below v.
+	var seen uint64
+	v := 0
+	for ; seen+counts[v] <= r50; v++ {
+		seen += counts[v]
+	}
+	p50 = uint64(v)
+	for ; seen+counts[v] <= r99; v++ {
+		seen += counts[v]
+	}
+	p99 = uint64(v)
+	*countsp = counts[:0]
+	replayScratchPool.Put(countsp)
+	return p50, p99
 }

@@ -93,7 +93,7 @@ func registerRunMetrics(reg *telemetry.Registry) {
 	reg.Histogram(artifact.MetricGetMS, artifact.GetMSBuckets...)
 	reg.Histogram("artifact.decode_ms", artifact.GetMSBuckets...)
 	reg.Histogram("runner.entry_ms", EntryMSBuckets...)
-	reg.Histogram("noc.replay.latency_cycles", noc.ReplayLatencyBuckets...)
+	reg.Histogram("noc.replay.latency_cycles", noc.ReplayLatencyBuckets[:]...)
 	reg.Histogram("power.watts", power.PowerWattsBuckets...)
 }
 

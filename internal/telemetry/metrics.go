@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"sort"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -113,6 +114,33 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+}
+
+// Merge folds a batch of observations counted elsewhere into the
+// histogram: counts[i] observations in bucket i (the histogram's bucket
+// layout, overflow last) whose values add up to sum. One Merge leaves
+// the same state as one Observe per value, the sum bit for bit whenever
+// the additions are exact (integer values), so a hot loop can count
+// locally and publish once. A non-finite sum drops the whole batch, as
+// Observe drops non-finite values. Merge panics if counts does not
+// match the bucket layout, which only a caller bug produces.
+func (h *Histogram) Merge(counts []uint64, sum float64) {
+	if h == nil || math.IsNaN(sum) || math.IsInf(sum, 0) {
+		return
+	}
+	if len(counts) != len(h.counts) {
+		panic("telemetry: Merge with " + strconv.Itoa(len(counts)) +
+			" bucket counts into a histogram of " + strconv.Itoa(len(h.counts)))
+	}
+	var n uint64
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+			n += c
+		}
+	}
+	h.count.Add(n)
+	h.sum.Add(sum)
 }
 
 // Count returns the number of observations (0 on a nil histogram).

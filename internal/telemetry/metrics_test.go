@@ -188,3 +188,69 @@ func TestSnapshotJSONAndNames(t *testing.T) {
 		t.Fatal("snapshot export is not valid JSON")
 	}
 }
+
+// TestHistogramMergeMatchesObserve checks that one Merge of locally
+// counted buckets leaves exactly the state of one Observe per value,
+// from one goroutine and from many at once, and that a nil histogram
+// ignores Merge.
+func TestHistogramMergeMatchesObserve(t *testing.T) {
+	bounds := []float64{1, 2, 4, 8}
+	values := []float64{0, 1, 1, 2, 3, 4, 5, 8, 9, 1000}
+	// Bucket layout of `bounds`: first bound >= v, overflow last.
+	counts := []uint64{3, 1, 2, 2, 2}
+	var sum float64
+	for _, v := range values {
+		sum += v
+	}
+
+	var nilH *Histogram
+	nilH.Merge(counts, sum) // must not panic
+
+	const goroutines, batches = 8, 50
+	for _, concurrent := range []bool{false, true} {
+		merged, observed := NewRegistry(), NewRegistry()
+		mh := merged.Histogram("h", bounds...)
+		oh := observed.Histogram("h", bounds...)
+		workers := 1
+		if concurrent {
+			workers = goroutines
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for b := 0; b < batches; b++ {
+					mh.Merge(counts, sum)
+					for _, v := range values {
+						oh.Observe(v)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if got, want := mh.snapshot(), oh.snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("concurrent=%v: Merge state %+v, Observe state %+v", concurrent, got, want)
+		}
+		if got, want := mh.Count(), uint64(workers*batches*len(values)); got != want {
+			t.Errorf("concurrent=%v: count = %d, want %d", concurrent, got, want)
+		}
+	}
+}
+
+// TestHistogramMergeEdgeCases pins the non-finite-sum drop and the
+// panic on a bucket-layout mismatch.
+func TestHistogramMergeEdgeCases(t *testing.T) {
+	h := NewRegistry().Histogram("h", 1, 2)
+	h.Merge([]uint64{1, 0, 0}, math.NaN())
+	h.Merge([]uint64{1, 0, 0}, math.Inf(1))
+	if h.Count() != 0 || h.Sum() != 0 {
+		t.Errorf("non-finite batches recorded: count %d sum %g", h.Count(), h.Sum())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Merge with the wrong number of buckets did not panic")
+		}
+	}()
+	h.Merge([]uint64{1, 2}, 3)
+}

@@ -236,9 +236,10 @@ func (b Benchmark) Trace(n int, cycles uint64, totalFlits int, seed int64) (*tra
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("workload: %s has an empty traffic matrix", b.Name)
 	}
+	g := newGuideTable(cum)
 	tr := &trace.Trace{N: n, Cycles: cycles, Packets: make([]trace.Packet, totalFlits)}
 	for i := range tr.Packets {
-		p := pairs[sample(cum, rng.Float64())]
+		p := pairs[g.sample(rng.Float64())]
 		tr.Packets[i] = trace.Packet{
 			Cycle: uint64(rng.Int63n(int64(cycles))),
 			Src:   int32(p.s), Dst: int32(p.d), Flits: 1,
@@ -320,17 +321,42 @@ func flatten(m *trace.Matrix) ([]pair, []float64) {
 	return pairs, cum
 }
 
-func sample(cum []float64, u float64) int {
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// guideTable samples a cumulative distribution in expected O(1) time
+// by indexed search (Chen and Asau): guide[j] is the first index whose
+// cumulative reaches j/m, so a draw u in [j/m, (j+1)/m) starts its
+// linear scan there. m is a power of two at least len(cum), which makes
+// u·m and j/m exact and keeps the expected scan under two steps.
+type guideTable struct {
+	cum   []float64
+	guide []int32
+}
+
+func newGuideTable(cum []float64) guideTable {
+	m := 1
+	for m < len(cum) {
+		m *= 2
 	}
-	return lo
+	g := guideTable{cum: cum, guide: make([]int32, m)}
+	i := 0
+	for j := range g.guide {
+		for i < len(cum)-1 && cum[i] < float64(j)/float64(m) {
+			i++
+		}
+		g.guide[j] = int32(i)
+	}
+	return g
+}
+
+// sample returns the first index i with cum[i] >= u, or the last index
+// if there is none: the lower bound a binary search over cum finds.
+// u must be in [0, 1].
+func (g guideTable) sample(u float64) int {
+	j := min(int(u*float64(len(g.guide))), len(g.guide)-1)
+	i := int(g.guide[j]) // j/m <= u, so the answer is at or after i
+	for i < len(g.cum)-1 && g.cum[i] < u {
+		i++
+	}
+	return i
 }
 
 func clearDiagonal(m *trace.Matrix) {

@@ -295,3 +295,61 @@ func TestSortByCycleMatchesSortSlice(t *testing.T) {
 		}
 	}
 }
+
+// binarySample is the binary-search lower bound the guide table
+// replaced: the first index with cum[i] >= u, or the last index.
+func binarySample(cum []float64, u float64) int {
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cum[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestGuideTableMatchesBinarySearch draws from random normalised
+// cumulative tables, including tables with equal neighbouring entries,
+// and checks the guide table against the binary search on random u,
+// on every u exactly equal to a cum[i] (and its float neighbours), and
+// on the ends of [0, 1].
+func TestGuideTableMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, size := range []int{1, 2, 3, 7, 64, 100, 1000, 4033} {
+		for rep := 0; rep < 5; rep++ {
+			cum := make([]float64, size)
+			run := 0.0
+			for i := range cum {
+				switch w := rng.Float64(); {
+				case w < 0.1:
+					// tiny weight: neighbours that round to equal cumulatives
+					run += 1e-18
+				case w < 0.2:
+					run += 100 * rng.Float64()
+				default:
+					run += rng.Float64()
+				}
+				cum[i] = run
+			}
+			for i := range cum {
+				cum[i] /= run
+			}
+			g := newGuideTable(cum)
+			us := []float64{0, math.Nextafter(1, 0), 1}
+			for _, c := range cum {
+				us = append(us, c, math.Nextafter(c, 0), math.Nextafter(c, 2))
+			}
+			for i := 0; i < 2000; i++ {
+				us = append(us, rng.Float64())
+			}
+			for _, u := range us {
+				if got, want := g.sample(u), binarySample(cum, u); got != want {
+					t.Fatalf("size %d rep %d: sample(%v) = %d, binary search %d", size, rep, u, got, want)
+				}
+			}
+		}
+	}
+}
