@@ -135,11 +135,12 @@ fuzz:
 # ---- Performance baseline (docs/BENCH.md) ----------------------------
 
 # The curated hot-path benchmark set tracked in BENCH_baseline.json:
-# splitter solve/recurrence, QAP mapping (radix 64 and 256), the
-# dynamic controller's migration scan, multicore-sim inner loop,
+# splitter solve/recurrence, the α search (3, 4 and 8 modes), QAP
+# mapping (radix 64 and 256), the dynamic controller's migration scan,
+# multicore-sim construction and run,
 # power evaluation, trace replay (plain and with telemetry, radix 16
 # to 256), and the serve-path JSON encode/decode pairs.
-BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkQAPTaboo|BenchmarkQAPTaboo256|BenchmarkDynamicMigrationScan|BenchmarkPowerEvaluate|BenchmarkNoCReplay|BenchmarkNoCReplayObserved|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkSplitterRecurrenceRaw|BenchmarkPowerEvalTyped|BenchmarkPowerEvalRaw|BenchmarkJSONPackageEncoding|BenchmarkJSONArtisinalEncoding|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
+BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkOptimalAlphas|BenchmarkQAPTaboo|BenchmarkQAPTaboo256|BenchmarkDynamicMigrationScan|BenchmarkPowerEvaluate|BenchmarkNoCReplay|BenchmarkNoCReplayObserved|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkSplitterRecurrenceRaw|BenchmarkPowerEvalTyped|BenchmarkPowerEvalRaw|BenchmarkJSONPackageEncoding|BenchmarkJSONArtisinalEncoding|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
 BENCH_PKGS = . ./internal/dynamic ./internal/phys ./internal/server
 BENCH_DATE ?= $(shell date -u +%Y-%m-%d)
 BENCH_FILE ?= BENCH_$(BENCH_DATE).json

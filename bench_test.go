@@ -114,6 +114,35 @@ func BenchmarkSplitterDesign(b *testing.B) {
 	}
 }
 
+// alphasSink keeps BenchmarkOptimalAlphas' result live.
+var alphasSink []float64
+
+// BenchmarkOptimalAlphas measures the Appendix-A α search alone for 3,
+// 4 and 8 power modes: radix-256 mode costs from source 128 with the
+// modes interleaved, uniform weights.
+func BenchmarkOptimalAlphas(b *testing.B) {
+	p := splitter.DefaultParams(256)
+	for _, m := range []int{3, 4, 8} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			modeOf := make([]int, 256)
+			for j := range modeOf {
+				modeOf[j] = j % m
+			}
+			modeOf[128] = -1
+			costs, err := splitter.ModeCosts(p, 128, modeOf, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := topo.UniformWeights(m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				alphasSink = splitter.OptimalAlphas(costs, w)
+			}
+		})
+	}
+}
+
 // BenchmarkCommAware2ModeSweep measures the exact per-source binary
 // partition sweep over a full radix-256 profile.
 func BenchmarkCommAware2ModeSweep(b *testing.B) {
@@ -238,7 +267,9 @@ func benchReplay(b *testing.B, reg *telemetry.Registry) {
 }
 
 // BenchmarkMulticoreSim measures the Graphite-substitute simulator:
-// 64 cores, MOSI directory, mNoC timing, 200 accesses per core.
+// 64 cores, MOSI directory, mNoC timing, 200 accesses per core. The
+// construct sub-benchmark times building the network and the machine
+// (caches, directory); run times Machine.Run on a freshly built one.
 func BenchmarkMulticoreSim(b *testing.B) {
 	bench, err := workload.ByName("fft")
 	if err != nil {
@@ -249,8 +280,7 @@ func BenchmarkMulticoreSim(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	construct := func(b *testing.B) *sim.Machine {
 		net, err := noc.NewMNoC(64)
 		if err != nil {
 			b.Fatal(err)
@@ -259,8 +289,21 @@ func BenchmarkMulticoreSim(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.Run(streams); err != nil {
-			b.Fatal(err)
-		}
+		return m
 	}
+	b.Run("construct", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			construct(b)
+		}
+	})
+	b.Run("run", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m := construct(b)
+			b.StartTimer()
+			if _, err := m.Run(streams); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

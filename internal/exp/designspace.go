@@ -126,15 +126,15 @@ func TrimSweep(ctx context.Context, c *Context) (*Table, error) {
 		},
 	}
 	// Average the runtime ratio once (trimming does not change timing).
-	var ratioSum float64
-	for _, b := range c.Benchmarks() {
-		mc, rc, err := c.Performance(ctx, b.Name)
-		if err != nil {
-			return nil, err
-		}
-		ratioSum += float64(mc) / float64(rc)
+	perfs, err := c.performanceAll(ctx)
+	if err != nil {
+		return nil, err
 	}
-	tM := ratioSum / float64(len(c.Benchmarks()))
+	var ratioSum float64
+	for _, r := range perfs {
+		ratioSum += float64(r.mnocCycles) / float64(r.rnocCycles)
+	}
+	tM := ratioSum / float64(len(perfs))
 
 	for _, trim := range []float64{20, 40, 60, 80, 100} {
 		rnoc, err := power.NewRNoC(n, 4)

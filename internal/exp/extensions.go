@@ -532,22 +532,20 @@ func AlphaGrid(ctx context.Context, c *Context) (*Table, error) {
 		Title:  "Splitter α-search resolution ablation (4-mode source)",
 		Header: []string{"grid", "weighted source power (relative)"},
 	}
-	grids := []struct {
-		name  string
-		steps []float64
-	}{
-		{"0.1 (paper)", []float64{0.1}},
-		{"0.1 + 0.01", []float64{0.1, 0.01}},
-		{"0.1 + 0.01 + 0.001 (default)", []float64{0.1, 0.01, 0.001}},
-	}
+	grids := []string{"0.1 (paper)", "0.1 + 0.01", "0.1 + 0.01 + 0.001 (default)"}
 	base := phys.MicroWatts(0)
-	for _, g := range grids {
-		alphas := coordinateDescent(costs, weights, g.steps)
+	for i, name := range grids {
+		// The search over the first i+1 grid levels, nesting-clamped
+		// without OptimalAlphas' 0.01 floor.
+		alphas := splitter.DescendAlphas(costs, weights, i+1)
+		for k := 1; k < len(alphas); k++ {
+			alphas[k] = min(alphas[k], alphas[k-1])
+		}
 		v := splitter.WeightedPowerForAlphas(costs, alphas, weights)
 		if base == 0 {
 			base = v
 		}
-		t.Rows = append(t.Rows, []string{g.name, f3(float64(v / base))})
+		t.Rows = append(t.Rows, []string{name, f3(float64(v / base))})
 	}
 	t.Notes = []string{"relative to the paper's 0.1 grid; lower is better"}
 	return t, nil
@@ -558,34 +556,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-// coordinateDescent mirrors splitter.OptimalAlphas but with a custom
-// step schedule, for the ablation.
-func coordinateDescent(costs []phys.MicroWatts, weights, steps []float64) []float64 {
-	m := len(costs)
-	alphas := make([]float64, m)
-	for i := range alphas {
-		alphas[i] = 1
-	}
-	for _, step := range steps {
-		for iter := 0; iter < 4; iter++ {
-			for k := 1; k < m; k++ {
-				best, bestV := alphas[k], splitter.WeightedPowerForAlphas(costs, alphas, weights)
-				for v := step; v <= 1.0+1e-9; v += step {
-					alphas[k] = v
-					if obj := splitter.WeightedPowerForAlphas(costs, alphas, weights); obj < bestV {
-						best, bestV = v, obj
-					}
-				}
-				alphas[k] = best
-			}
-		}
-	}
-	for k := 1; k < m; k++ {
-		if alphas[k] > alphas[k-1] {
-			alphas[k] = alphas[k-1]
-		}
-	}
-	return alphas
 }

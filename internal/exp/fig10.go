@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"mnoc/internal/device"
 	"mnoc/internal/noc"
@@ -98,6 +100,45 @@ func (c *Context) Performance(ctx context.Context, bench string) (mnocCycles, rn
 	return r.mnocCycles, r.rnocCycles, nil
 }
 
+// performanceAll runs Performance for every benchmark, up to GOMAXPROCS
+// sims at once, and returns the results in Benchmarks() order. Entries
+// that need every sim (Fig10, Table1, Summary, TrimSweep) call it, so
+// the sims fill the memo in parallel instead of one at a time, and an
+// entry that arrives while another holds a sim in flight waits for it
+// with every other sim already running. Each sim still runs once: the
+// memo coalesces concurrent callers. The error is the context's if it
+// was cancelled, else the first benchmark's in Benchmarks() order.
+func (c *Context) performanceAll(ctx context.Context) ([]perfResult, error) {
+	benches := c.Benchmarks()
+	out := make([]perfResult, len(benches))
+	errs := make([]error, len(benches))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+launch:
+	for i, b := range benches {
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
+			break launch
+		}
+		wg.Add(1)
+		go func(i int, name string) {
+			defer func() { <-sem; wg.Done() }()
+			out[i].mnocCycles, out[i].rnocCycles, errs[i] = c.Performance(ctx, name)
+		}(i, b.Name)
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // bestPTNetwork builds the paper's best overall design, 4M_T_G_S12: a
 // 4-mode communication-aware topology from the 12-benchmark sample with
 // sampled splitter weights.
@@ -134,12 +175,16 @@ func Fig10(ctx context.Context, c *Context) (*Table, error) {
 		return nil, err
 	}
 
+	perf, err := c.performanceAll(ctx)
+	if err != nil {
+		return nil, err
+	}
 	// Average power breakdown and runtime factor per network across
 	// benchmarks; energy = avg power × relative runtime.
 	var eR, eM, eC, eP power.Breakdown
 	var ratioSum float64
 	k := float64(len(c.Benchmarks()))
-	for _, b := range c.Benchmarks() {
+	for i, b := range c.Benchmarks() {
 		naive, err := c.Shape(ctx, b.Name)
 		if err != nil {
 			return nil, err
@@ -148,10 +193,7 @@ func Fig10(ctx context.Context, c *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mc, rc, err := c.Performance(ctx, b.Name)
-		if err != nil {
-			return nil, err
-		}
+		mc, rc := perf[i].mnocCycles, perf[i].rnocCycles
 		tM := float64(mc) / float64(rc) // mNoC relative runtime (< 1 = faster)
 		ratioSum += float64(rc) / float64(mc)
 
@@ -271,15 +313,15 @@ func Table1(ctx context.Context, c *Context) (*Table, error) {
 		return nil, err
 	}
 	// Measured performance ratio.
-	var ratioSum float64
-	for _, b := range c.Benchmarks() {
-		mc, rc, err := c.Performance(ctx, b.Name)
-		if err != nil {
-			return nil, err
-		}
-		ratioSum += float64(rc) / float64(mc)
+	perfs, err := c.performanceAll(ctx)
+	if err != nil {
+		return nil, err
 	}
-	perf := ratioSum / float64(len(c.Benchmarks()))
+	var ratioSum float64
+	for _, r := range perfs {
+		ratioSum += float64(r.rnocCycles) / float64(r.mnocCycles)
+	}
+	perf := ratioSum / float64(len(perfs))
 
 	t := &Table{
 		ID:     "table1",

@@ -64,15 +64,15 @@ func Summary(ctx context.Context, c *Context) (*Table, error) {
 			}
 		}
 	}
-	var ratioSum float64
-	for _, b := range c.Benchmarks() {
-		mc, rc, err := c.Performance(ctx, b.Name)
-		if err != nil {
-			return nil, err
-		}
-		ratioSum += float64(rc) / float64(mc)
+	perfs, err := c.performanceAll(ctx)
+	if err != nil {
+		return nil, err
 	}
-	perf := ratioSum / float64(len(c.Benchmarks()))
+	var ratioSum float64
+	for _, r := range perfs {
+		ratioSum += float64(r.rnocCycles) / float64(r.mnocCycles)
+	}
+	perf := ratioSum / float64(len(perfs))
 
 	t := &Table{
 		ID:     "summary",

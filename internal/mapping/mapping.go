@@ -52,16 +52,24 @@ func FromTraffic(m *trace.Matrix, l waveguide.Layout) (*Problem, error) {
 	if m.N != l.N {
 		return nil, fmt.Errorf("mapping: matrix size %d vs layout %d", m.N, l.N)
 	}
+	path := l.PathTransmissions()
 	cost := make([][]float64, l.N)
 	for i := range cost {
 		cost[i] = make([]float64, l.N)
 		for j := range cost[i] {
 			if i != j {
-				cost[i][j] = 1 / float64(l.PathTransmission(i, j))
+				cost[i][j] = 1 / float64(path[abs(i-j)])
 			}
 		}
 	}
 	return NewProblem(m.Counts, cost)
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // Assignment maps thread → core; it is always a permutation.

@@ -116,6 +116,9 @@ func maskedModeCosts(p Params, src int, modeOf []int, modes int, excluded []bool
 	if len(modeOf) != p.Layout.N {
 		return nil, fmt.Errorf("splitter: %d mode entries for %d nodes", len(modeOf), p.Layout.N)
 	}
+	if src < 0 || src >= p.Layout.N {
+		return nil, fmt.Errorf("splitter: source %d out of range [0,%d)", src, p.Layout.N)
+	}
 	if modes < 1 {
 		return nil, fmt.Errorf("splitter: need at least one mode, got %d", modes)
 	}
@@ -123,6 +126,7 @@ func maskedModeCosts(p Params, src int, modeOf []int, modes int, excluded []bool
 		return nil, fmt.Errorf("splitter: %d exclusion entries for %d nodes", len(excluded), p.Layout.N)
 	}
 	a := make([]phys.MicroWatts, modes)
+	path := p.Layout.PathTransmissions()
 	for j, m := range modeOf {
 		if j == src {
 			if m != -1 {
@@ -136,9 +140,16 @@ func maskedModeCosts(p Params, src int, modeOf []int, modes int, excluded []bool
 		if excluded != nil && excluded[j] {
 			continue
 		}
-		a[m] += p.PminUW.Over(p.Layout.PathTransmission(src, j))
+		a[m] += p.PminUW.Over(path[abs(src-j)])
 	}
 	return a, nil
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // WeightedPowerForAlphas evaluates Σ_m w_m·(Σ_l α_l·A_l)/α_m, the
@@ -179,40 +190,60 @@ func OptimalAlphasTwoMode(modeCosts []phys.MicroWatts, weights []float64) []floa
 // paper's 0.1-grid search has the same implicit floor.
 const minAlpha = 0.01
 
+// alphaGrid is one resolution level of the α search: the points step,
+// 2·step, … up to 1, built by repeated `v += step` exactly as a plain
+// scan visits them, so every point is bit-equal to the scanned one.
+type alphaGrid struct {
+	step   float64
+	points []float64
+}
+
+func newAlphaGrid(step float64) alphaGrid {
+	g := alphaGrid{step: step}
+	for v := step; v <= 1.0+1e-9; v += step {
+		g.points = append(g.points, v)
+	}
+	return g
+}
+
+// alphaGrids is the search schedule: the paper's 0.1 grid, then two
+// refinement levels. Built once; read-only afterwards.
+var alphaGrids = [...]alphaGrid{newAlphaGrid(0.1), newAlphaGrid(0.01), newAlphaGrid(0.001)}
+
+// nearest returns the index of the grid point closest to v (the first
+// point for NaN or v below the grid, the last for v ≥ 1).
+func (g *alphaGrid) nearest(v float64) int {
+	last := len(g.points) - 1
+	switch {
+	case !(v > g.step):
+		return 0
+	case v >= 1:
+		return last
+	}
+	return min(int(math.Round(v/g.step))-1, last)
+}
+
+// bracketMargin is the relative excess over the running minimum at
+// which the bracketed α walk stops in one direction. It must exceed
+// twice the relative rounding error of WeightedPowerForAlphas, about
+// (2m+3)·2⁻⁵³ for m modes, by a wide margin.
+const bracketMargin = 1e-9
+
+// The walk's stop rule relies on relative rounding bounds, which
+// underflow and overflow void; outside this range of the running
+// minimum it scans the whole grid instead.
+const bracketLo, bracketHi = 1e-250, 1e250
+
 // OptimalAlphas finds the α vector minimising the weighted power. It
 // runs the paper's grid search (0.1 steps) followed by two refinement
 // passes (0.01 then 0.001 steps) of per-coordinate descent, then clamps
 // to the decreasing order the topology nesting requires.
 func OptimalAlphas(modeCosts []phys.MicroWatts, weights []float64) []float64 {
 	m := len(modeCosts)
-	alphas := make([]float64, m)
-	for i := range alphas {
-		alphas[i] = 1
-	}
-	if m == 1 {
-		return alphas
-	}
 	if m == 2 {
 		return OptimalAlphasTwoMode(modeCosts, weights)
 	}
-	// Coordinate descent over a shrinking grid. Each coordinate is
-	// optimised holding the others fixed; the objective is convex in
-	// each 1/α_k direction so this converges quickly.
-	for _, step := range []float64{0.1, 0.01, 0.001} {
-		for iter := 0; iter < 4; iter++ {
-			for k := 1; k < m; k++ {
-				best, bestV := alphas[k], WeightedPowerForAlphas(modeCosts, alphas, weights)
-				for v := step; v <= 1.0+1e-9; v += step {
-					alphas[k] = v
-					obj := WeightedPowerForAlphas(modeCosts, alphas, weights)
-					if obj < bestV {
-						best, bestV = v, obj
-					}
-				}
-				alphas[k] = best
-			}
-		}
-	}
+	alphas := DescendAlphas(modeCosts, weights, len(alphaGrids))
 	// Enforce the nesting invariant α_0 ≥ α_1 ≥ … (strictly decreasing
 	// except where a mode is empty).
 	for k := 1; k < m; k++ {
@@ -224,6 +255,117 @@ func OptimalAlphas(modeCosts []phys.MicroWatts, weights []float64) []float64 {
 		}
 	}
 	return alphas
+}
+
+// DescendAlphas runs the coordinate descent of the α search, with one
+// weight per mode cost, over the first `levels` (at most 3) grids of
+// the 0.1, 0.01, 0.001 schedule, starting from α = 1, and returns the α
+// vector before any nesting clamp. Each level makes up to four passes
+// over α_1 … α_{m−1}; each coordinate moves to the grid point the
+// paper's full scan would pick (searchCoordinate). A pass that moves
+// nothing ends its level early: the next pass would start from the
+// same α and move nothing either.
+func DescendAlphas(modeCosts []phys.MicroWatts, weights []float64, levels int) []float64 {
+	m := len(modeCosts)
+	alphas := make([]float64, m)
+	// The bracket needs non-negative costs and weights; anything else
+	// (never a physical input) gets the whole grid scanned.
+	bracket := true
+	for i := range alphas {
+		alphas[i] = 1
+		bracket = bracket && modeCosts[i] >= 0 && weights[i] >= 0
+	}
+	for l := range levels {
+		g := &alphaGrids[l]
+		for iter := 0; iter < 4; iter++ {
+			moved := false
+			for k := 1; k < m; k++ {
+				v := searchCoordinate(modeCosts, alphas, weights, k, g, bracket)
+				moved = moved || v != alphas[k]
+				alphas[k] = v
+			}
+			if !moved {
+				break
+			}
+		}
+	}
+	return alphas
+}
+
+// searchCoordinate returns the value for α_k that a full scan of g
+// would leave: the earliest grid point with the least objective, if it
+// beats the objective at the current α_k strictly, else the current
+// α_k. It leaves alphas as it found it. With bracket false it visits
+// every grid point.
+//
+// It gets there without scanning the grid. With every other coordinate
+// fixed, Equation 1 is f(v) = (C + A_k·v)(D + w_k/v), where
+// C = Σ_{l≠k} α_l·A_l and D = Σ_{l≠k} w_l/α_l, all four terms ≥ 0. That
+// is convex on v > 0 with its minimum at v* = sqrt(w_k·C/(A_k·D)). The
+// walk starts at the grid point nearest v* and grows a contiguous
+// window outward in both directions, keeping the earliest least value
+// seen. A direction stops at a point whose computed value exceeds the
+// running minimum M by the relative bracketMargin.
+//
+// No skipped point can tie or beat M. WeightedPowerForAlphas sums
+// products and quotients of non-negative terms, so its result is within
+// a relative ε ≈ (2m+3)·2⁻⁵³ of the exact f, far below bracketMargin.
+// The stopping point v therefore has f(v) > f(u), where u is the point
+// in the window holding M. By convexity f does not decrease past v away
+// from u, so every skipped x beyond v has f(x) > f(v), and its computed
+// value exceeds (1−ε)/(1+ε)·(1+bracketMargin)·M > M. A skipped point
+// can thus neither beat nor tie the window's minimum, and the window
+// resolves ties to the earliest index just as the scan does.
+//
+// The start only decides how far the walk goes, not what it returns, so
+// degenerate inputs need only a sensible start. A_k = 0 or D = 0 makes
+// f non-increasing and v* = +Inf (start at 1); w_k = 0 or C = 0 makes
+// it non-decreasing and v* = 0 (start at the first point); both at once
+// make f constant and v* NaN (start at the first point). A constant
+// objective never stops the walk, which then covers the whole grid
+// exactly as the scan does.
+func searchCoordinate(modeCosts []phys.MicroWatts, alphas, weights []float64, k int, g *alphaGrid, bracket bool) float64 {
+	cur := alphas[k]
+	curV := WeightedPowerForAlphas(modeCosts, alphas, weights)
+
+	var c, d float64
+	for l, a := range alphas {
+		if l != k {
+			c += a * float64(modeCosts[l])
+			d += weights[l] / a
+		}
+	}
+	vStar := math.Sqrt(weights[k] * c / (float64(modeCosts[k]) * d))
+
+	pts := g.points
+	bestI, bestV := -1, math.Inf(1)
+	visit := func(i int) bool {
+		alphas[k] = pts[i]
+		v := float64(WeightedPowerForAlphas(modeCosts, alphas, weights))
+		if v < bestV || (v == bestV && i < bestI) {
+			bestI, bestV = i, v
+		}
+		return bracket && bestV >= bracketLo && bestV <= bracketHi && v > bestV*(1+bracketMargin)
+	}
+	lo := g.nearest(vStar)
+	hi := lo
+	visit(lo)
+	up, down := hi < len(pts)-1, lo > 0
+	for up || down {
+		if up {
+			hi++
+			up = !visit(hi) && hi < len(pts)-1
+		}
+		if down {
+			lo--
+			down = !visit(lo) && lo > 0
+		}
+	}
+	alphas[k] = cur
+	if bestI >= 0 && bestV < float64(curV) {
+		return pts[bestI]
+	}
+	return cur
 }
 
 // Solve produces the full splitter design for one source: mode powers,

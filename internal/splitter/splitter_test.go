@@ -243,6 +243,12 @@ func TestSolveRejectsBadInput(t *testing.T) {
 	if _, err := Solve(p, 3, noSrc, []float64{1}); err == nil {
 		t.Error("source without -1 marker accepted")
 	}
+	allDest := modeAssignment(16, -1, func(j int) int { return 0 })
+	for _, src := range []int{-1, 16} {
+		if _, err := Solve(p, src, allDest, []float64{1}); err == nil {
+			t.Errorf("source %d outside the layout accepted", src)
+		}
+	}
 	if _, err := SolveWithAlphas(p, 3, modeOf, []float64{0.9}); err == nil {
 		t.Error("alphas[0] != 1 accepted")
 	}

@@ -233,6 +233,7 @@ func CommAware2Mode(m *trace.Matrix, p splitter.Params, name string) (*Topology,
 	}
 	n := m.N
 	t := New(n, 2, name)
+	path := p.Layout.PathTransmissions()
 	for s := 0; s < n; s++ {
 		order := byBenefit(m, p, s)
 		bestCut, bestPower := -1, phys.MicroWatts(0)
@@ -242,12 +243,12 @@ func CommAware2Mode(m *trace.Matrix, p splitter.Params, name string) (*Topology,
 		var lowCost, highCost phys.MicroWatts
 		lowTraffic, highTraffic := 0.0, 0.0
 		for _, d := range order {
-			highCost += p.PminUW.Over(p.Layout.PathTransmission(s, d))
+			highCost += p.PminUW.Over(path[abs(s-d)])
 			highTraffic += m.Counts[s][d]
 		}
 		for cut := 1; cut <= n-2; cut++ {
 			d := order[cut-1]
-			c := p.PminUW.Over(p.Layout.PathTransmission(s, d))
+			c := p.PminUW.Over(path[abs(s-d)])
 			lowCost += c
 			highCost -= c
 			lowTraffic += m.Counts[s][d]

@@ -14,6 +14,7 @@ package waveguide
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"mnoc/internal/phys"
 )
@@ -69,6 +70,33 @@ func (l Layout) SegmentTransmission() phys.Transmission {
 // between nodes i and j: the L^{|j−i|} term of Equation 2.
 func (l Layout) PathTransmission(i, j int) phys.Transmission {
 	return l.LossDBPerCM.Scale(l.DistanceCM(i, j)).Transmission()
+}
+
+// pathTable is one layout's PathTransmissions result.
+type pathTable struct {
+	layout Layout
+	t      []phys.Transmission
+}
+
+// lastPathTable caches the most recent PathTransmissions table. A
+// network build solves every source against one layout, so one entry
+// is enough, and it stays bounded in a long-running server.
+var lastPathTable atomic.Pointer[pathTable]
+
+// PathTransmissions returns PathTransmission(0, d) for every d in
+// [0, N): the transmission over d segments, which is bit-equal to
+// PathTransmission(i, j) for every |i−j| = d. The slice is shared
+// between callers and must not be modified.
+func (l Layout) PathTransmissions() []phys.Transmission {
+	if c := lastPathTable.Load(); c != nil && c.layout == l {
+		return c.t
+	}
+	t := make([]phys.Transmission, max(l.N, 0))
+	for d := range t {
+		t[d] = l.PathTransmission(0, d)
+	}
+	lastPathTable.Store(&pathTable{layout: l, t: t})
+	return t
 }
 
 // MaxPathLossDB is the worst-case (longest-path) waveguide insertion

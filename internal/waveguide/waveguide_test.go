@@ -3,6 +3,7 @@ package waveguide
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -203,5 +204,78 @@ func TestChainSourceTapIgnoredByValidate(t *testing.T) {
 	c.Taps[8] = 42 // nonsense at the source position must be ignored
 	if err := c.Validate(); err != nil {
 		t.Errorf("Validate rejected ignored source tap: %v", err)
+	}
+}
+
+// TestPathTransmissionsMatchesPathTransmission pins the table to the
+// per-pair form bit for bit: entry |i−j| is PathTransmission(i, j).
+func TestPathTransmissionsMatchesPathTransmission(t *testing.T) {
+	for _, n := range []int{1, 64, 256} {
+		for _, loss := range []phys.Decibels{1, 2} {
+			l := NewSerpentine(n)
+			l.LossDBPerCM = loss
+			table := l.PathTransmissions()
+			if len(table) != n {
+				t.Fatalf("N=%d: table has %d entries", n, len(table))
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					d := i - j
+					if d < 0 {
+						d = -d
+					}
+					got, want := table[d], l.PathTransmission(i, j)
+					if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+						t.Fatalf("N=%d %g dB/cm: table[%d] = %v, PathTransmission(%d, %d) = %v",
+							n, loss, d, got, i, j, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPathTransmissionsConcurrentLayouts has callers alternate between
+// two layouts, so the single-entry cache is replaced under concurrent
+// reads (run it under -race); every caller must still get its own
+// layout's table.
+func TestPathTransmissionsConcurrentLayouts(t *testing.T) {
+	a := NewSerpentine(64)
+	b := NewSerpentine(128)
+	b.LossDBPerCM = 2
+	check := func(l Layout) bool {
+		table := l.PathTransmissions()
+		if len(table) != l.N {
+			return false
+		}
+		for d, v := range table {
+			if v != l.PathTransmission(0, d) {
+				return false
+			}
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	errs := make(chan Layout, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				l := a
+				if (g+i)%2 == 1 {
+					l = b
+				}
+				if !check(l) {
+					errs <- l
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for l := range errs {
+		t.Errorf("layout %+v: wrong path-transmission table", l)
 	}
 }
