@@ -122,15 +122,15 @@ metrics-check:
 	diff -u testdata/golden/metrics_names_adapt.txt /tmp/mnoc_adapt_metrics_names.txt
 
 # Short seeded fuzz passes over the text-format parsers, the telemetry
-# exporters, and the artisanal serve-path JSON encoders (byte-identity
-# against encoding/json).
+# exporters, and the serve-path request decoder (every body is either
+# accepted or refused with a 400 JSON error envelope). CI runs this.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDBLinearRoundTrip -fuzztime=10s ./internal/phys
 	$(GO) test -run=^$$ -fuzz=FuzzLossTransmissionRoundTrip -fuzztime=10s ./internal/phys
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/fault
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=10s ./internal/drivetable
 	$(GO) test -run=^$$ -fuzz=FuzzExporters -fuzztime=10s ./internal/telemetry
-	$(GO) test -run=^$$ -fuzz=FuzzArtisanalEncode -fuzztime=10s ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzDecodePost -fuzztime=10s ./internal/server
 
 # ---- Performance baseline (docs/BENCH.md) ----------------------------
 
@@ -138,9 +138,10 @@ fuzz:
 # splitter solve/recurrence, the α search (3, 4 and 8 modes), QAP
 # mapping (radix 64 and 256), the dynamic controller's migration scan,
 # multicore-sim construction and run,
-# power evaluation, trace replay (plain and with telemetry, radix 16
-# to 256), and the serve-path JSON encode/decode pairs.
-BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkOptimalAlphas|BenchmarkQAPTaboo|BenchmarkQAPTaboo256|BenchmarkDynamicMigrationScan|BenchmarkPowerEvaluate|BenchmarkNoCReplay|BenchmarkNoCReplayObserved|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkSplitterRecurrenceRaw|BenchmarkPowerEvalTyped|BenchmarkPowerEvalRaw|BenchmarkJSONPackageEncoding|BenchmarkJSONArtisinalEncoding|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
+# power evaluation, the typed-unit inner loops, trace replay (plain and
+# with telemetry, radix 16 to 256), and the serve-path writeJSON
+# encode and request decode.
+BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkOptimalAlphas|BenchmarkQAPTaboo|BenchmarkQAPTaboo256|BenchmarkDynamicMigrationScan|BenchmarkPowerEvaluate|BenchmarkNoCReplay|BenchmarkNoCReplayObserved|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkPowerEvalTyped|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
 BENCH_PKGS = . ./internal/dynamic ./internal/phys ./internal/server
 BENCH_DATE ?= $(shell date -u +%Y-%m-%d)
 BENCH_FILE ?= BENCH_$(BENCH_DATE).json

@@ -1,9 +1,11 @@
 // Benchmark guard for the typed unit system: the defined types must
 // compile to exactly the float64 arithmetic they replaced — zero
-// allocations, no call overhead. The two benchmark pairs mirror the
-// hot loops of the repository (the splitter backward recurrence and
-// the power-evaluation accumulation); TestTypedOpsAllocFree turns the
-// alloc half of the guarantee into a hard test.
+// allocations, no call overhead. The two benchmarks mirror the hot
+// loops of the repository (the splitter backward recurrence and the
+// power-evaluation accumulation); TestTypedOpsAllocFree turns the alloc
+// half of the guarantee into a hard test, and
+// TestTypedRecurrenceMatchesRaw pins the loops bit for bit against the
+// same arithmetic on raw float64.
 
 package phys
 
@@ -31,16 +33,6 @@ func typedRecurrence(req []MicroWatts, t Transmission) MicroWatts {
 	return carry
 }
 
-// rawRecurrence is the same loop on raw float64.
-func rawRecurrence(req []float64, t float64) float64 {
-	carry := 0.0
-	for j := len(req) - 1; j >= 0; j-- {
-		incident := req[j] + carry
-		carry = incident / t
-	}
-	return carry
-}
-
 func typedReq() ([]MicroWatts, Transmission) {
 	req := make([]MicroWatts, benchN)
 	for j := range req {
@@ -49,29 +41,12 @@ func typedReq() ([]MicroWatts, Transmission) {
 	return req, Decibels(0.0703125).Transmission()
 }
 
-func rawReq() ([]float64, float64) {
-	req := make([]float64, benchN)
-	for j := range req {
-		req[j] = 15.7 + float64(j)*0.01
-	}
-	return req, LossToTransmission(0.0703125)
-}
-
 func BenchmarkSplitterRecurrenceTyped(b *testing.B) {
 	req, t := typedReq()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkUW = typedRecurrence(req, t)
-	}
-}
-
-func BenchmarkSplitterRecurrenceRaw(b *testing.B) {
-	req, t := rawReq()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkF64 = rawRecurrence(req, t)
 	}
 }
 
@@ -86,43 +61,24 @@ func typedEval(drive []MicroWatts, counts []float64) MicroWatts {
 	return MicroWatts(sum)
 }
 
-func rawEval(drive []float64, counts []float64) float64 {
-	sum := 0.0
-	for i, v := range counts {
-		sum += v * drive[i%len(drive)]
-	}
-	return sum
-}
-
-func evalInputs() ([]MicroWatts, []float64, []float64) {
+func evalInputs() ([]MicroWatts, []float64) {
 	drive := make([]MicroWatts, 4)
-	raw := make([]float64, 4)
 	for m := range drive {
 		drive[m] = MicroWatts(100 * math.Pow(2, float64(m)))
-		raw[m] = 100 * math.Pow(2, float64(m))
 	}
 	counts := make([]float64, benchN*benchN/64)
 	for i := range counts {
 		counts[i] = float64(i % 17)
 	}
-	return drive, raw, counts
+	return drive, counts
 }
 
 func BenchmarkPowerEvalTyped(b *testing.B) {
-	drive, _, counts := evalInputs()
+	drive, counts := evalInputs()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkUW = typedEval(drive, counts)
-	}
-}
-
-func BenchmarkPowerEvalRaw(b *testing.B) {
-	_, raw, counts := evalInputs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkF64 = rawEval(raw, counts)
 	}
 }
 
@@ -135,7 +91,7 @@ func TestTypedOpsAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("typed splitter recurrence allocates %g times per run", allocs)
 	}
-	drive, _, counts := evalInputs()
+	drive, counts := evalInputs()
 	if allocs := testing.AllocsPerRun(100, func() {
 		sinkUW = typedEval(drive, counts)
 	}); allocs != 0 {
@@ -149,16 +105,24 @@ func TestTypedOpsAllocFree(t *testing.T) {
 	}
 }
 
-// TestTypedRecurrenceMatchesRaw pins bit-identity: the typed loop must
-// produce exactly the float64 result of the raw loop.
+// TestTypedRecurrenceMatchesRaw pins bit-identity: the typed loops
+// must produce exactly the float64 result of the same loops on raw
+// float64.
 func TestTypedRecurrenceMatchesRaw(t *testing.T) {
 	req, tr := typedReq()
-	raw, rt := rawReq()
-	if got, want := float64(typedRecurrence(req, tr)), rawRecurrence(raw, rt); got != want {
-		t.Fatalf("typed recurrence %g != raw %g", got, want)
+	carry := 0.0
+	for j := len(req) - 1; j >= 0; j-- {
+		carry = (float64(req[j]) + carry) / LossToTransmission(0.0703125)
 	}
-	drive, rawDrive, counts := evalInputs()
-	if got, want := float64(typedEval(drive, counts)), rawEval(rawDrive, counts); got != want {
-		t.Fatalf("typed eval %g != raw %g", got, want)
+	if got := float64(typedRecurrence(req, tr)); got != carry {
+		t.Fatalf("typed recurrence %g != raw %g", got, carry)
+	}
+	drive, counts := evalInputs()
+	sum := 0.0
+	for i, v := range counts {
+		sum += v * (100 * math.Pow(2, float64(i%len(drive))))
+	}
+	if got := float64(typedEval(drive, counts)); got != sum {
+		t.Fatalf("typed eval %g != raw %g", got, sum)
 	}
 }

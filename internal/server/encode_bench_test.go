@@ -1,11 +1,10 @@
 // Serve-path encode/decode benchmarks (srtjson-style tables with
-// b.ReportAllocs). The package-vs-artisanal pairs are the curated
-// entries `make bench` tracks in BENCH_baseline.json; the decode table
-// sizes the request-parsing cost across batch widths.
+// b.ReportAllocs), tracked by `make bench` in BENCH_baseline.json: the
+// encode table prices each response body through writeJSON, the decode
+// table sizes the request-parsing cost across batch widths.
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,13 +13,14 @@ import (
 	"testing"
 )
 
-type encodeBenchCase struct {
-	name string
-	v    appendJSONer
-}
-
-func encodeBenchCases() []encodeBenchCase {
-	return []encodeBenchCase{
+// BenchmarkWriteJSON measures the whole writeJSON call — header set,
+// indented encode, write — against a discarding ResponseWriter, for
+// the two hot response bodies and a generic map.
+func BenchmarkWriteJSON(b *testing.B) {
+	cases := []struct {
+		name string
+		v    any
+	}{
 		{"solve", &SolveResponse{
 			Bench: "water_s", Kind: "dist4", QAP: true,
 			BreakdownDTO: BreakdownDTO{SourceUW: 10734.2, OEUW: 1792.04, ElecUW: 412.5},
@@ -31,57 +31,6 @@ func encodeBenchCases() []encodeBenchCase {
 			TotalWatts: 0.021, BaseWatts: 0.044, MNoCCycles: 1284772, RNoCCycles: 3391205,
 			Speedup: 2.6395,
 		}},
-	}
-}
-
-// BenchmarkJSONPackageEncoding measures writeJSON's generic path: the
-// reflective json.Encoder with SetIndent, per response type.
-func BenchmarkJSONPackageEncoding(b *testing.B) {
-	for _, tc := range encodeBenchCases() {
-		b.Run(tc.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				enc := json.NewEncoder(&buf)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(tc.v); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkJSONArtisinalEncoding measures the hand-rolled appendJSON
-// path into a reused buffer — the fast path writeJSON actually takes.
-func BenchmarkJSONArtisinalEncoding(b *testing.B) {
-	for _, tc := range encodeBenchCases() {
-		b.Run(tc.name, func(b *testing.B) {
-			buf := make([]byte, 0, 512)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var err error
-				buf, err = tc.v.appendJSON(buf[:0])
-				if err != nil {
-					b.Fatal(err)
-				}
-				buf = append(buf, '\n')
-			}
-		})
-	}
-}
-
-// BenchmarkWriteJSON measures the whole writeJSON call — header set,
-// pooled buffer, encode, write — against a discarding ResponseWriter,
-// for the fast-path responses and a generic map that takes the
-// reflective fallback.
-func BenchmarkWriteJSON(b *testing.B) {
-	cases := []struct {
-		name string
-		v    any
-	}{
-		{"evaluate-artisanal", encodeBenchCases()[1].v},
 		{"generic-map", map[string]any{"status": "ok", "detail": "fallback path"}},
 	}
 	for _, tc := range cases {

@@ -604,31 +604,11 @@ func slicesContains(list []string, v string) bool {
 	return i < len(list) && list[i] == v
 }
 
-// writeJSON writes v as a JSON response. Responses with a hand-rolled
-// encoder (encode.go) take an allocation-free fast path through a
-// pooled buffer; everything else goes through the reflective package
-// encoder. Both paths emit identical bytes — the two-space-indented
-// form this server has always served — pinned by the equivalence tests
-// in encode_test.go.
+// writeJSON writes v as a JSON response in the two-space-indented form
+// this server has always served (pinned byte for byte by wire_test.go).
 //
 //mnoclint:hot
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	if aj, ok := v.(appendJSONer); ok {
-		bufp := responseBufPool.Get().(*[]byte)
-		buf, err := aj.appendJSON((*bufp)[:0])
-		if err == nil {
-			buf = append(buf, '\n') // Encoder.Encode's trailing newline
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(status)
-			_, _ = w.Write(buf)
-			*bufp = buf[:0]
-			responseBufPool.Put(bufp)
-			return
-		}
-		responseBufPool.Put(bufp)
-		// Fall through: the package encoder fails identically (it
-		// writes nothing), keeping behaviour bit-for-bit compatible.
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)

@@ -493,51 +493,3 @@ func TestEvaluateLossModel(t *testing.T) {
 		t.Errorf("loss_model=median status %d (%s), want 400", resp.StatusCode, body)
 	}
 }
-
-// TestResponseWireFormat pins the JSON key names and order of every
-// response that embeds BreakdownDTO: the DTO dedup (and any future
-// field shuffle) must not move a byte on the wire.
-func TestResponseWireFormat(t *testing.T) {
-	dto := BreakdownDTO{SourceUW: 1, OEUW: 2, ElecUW: 3}
-	for _, tc := range []struct {
-		name string
-		v    any
-		want string
-	}{
-		{
-			"solve", &SolveResponse{
-				Bench: "fft", Kind: "dist4", QAP: true, BreakdownDTO: dto,
-				TotalWatts: 4, BaseWatts: 5, Normalized: 6,
-			},
-			`{"bench":"fft","kind":"dist4","qap":true,"source_uw":1,"oe_uw":2,"electrical_uw":3,"total_watts":4,"base_watts":5,"normalized":6}`,
-		},
-		{
-			"evaluate", &EvaluateResponse{
-				Bench: "fft", Policy: "base", QAP: false, Scale: 1,
-				TotalWatts: 4, BaseWatts: 5, MNoCCycles: 6, RNoCCycles: 7, Speedup: 8,
-			},
-			`{"bench":"fft","policy":"base","qap":false,"scale":1,"total_watts":4,"base_watts":5,"mnoc_cycles":6,"rnoc_cycles":7,"speedup":8}`,
-		},
-		{
-			"evaluate-worst", &EvaluateResponse{
-				Bench: "fft", Policy: "base", QAP: false, Scale: 1, LossModel: "worst",
-				TotalWatts: 4, BaseWatts: 5, MNoCCycles: 6, RNoCCycles: 7, Speedup: 8,
-			},
-			`{"bench":"fft","policy":"base","qap":false,"scale":1,"loss_model":"worst","total_watts":4,"base_watts":5,"mnoc_cycles":6,"rnoc_cycles":7,"speedup":8}`,
-		},
-		{
-			"adapt-evaluate", &AdaptEvaluateResponse{
-				Bench: "fft", Generation: 9, TotalWatts: 4, BreakdownDTO: dto,
-			},
-			`{"bench":"fft","generation":9,"total_watts":4,"source_uw":1,"oe_uw":2,"electrical_uw":3}`,
-		},
-	} {
-		blob, err := json.Marshal(tc.v)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if string(blob) != tc.want {
-			t.Errorf("%s wire format drifted:\n got %s\nwant %s", tc.name, blob, tc.want)
-		}
-	}
-}
