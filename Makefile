@@ -98,11 +98,11 @@ compare-check:
 metrics-golden:
 	$(GO) run ./cmd/mnoc bench -scale quick \
 		-metrics-out /tmp/mnoc_metrics.json > /dev/null
-	$(GO) run ./cmd/metricnames /tmp/mnoc_metrics.json \
+	$(GO) run ./cmd/mnoc metricnames /tmp/mnoc_metrics.json \
 		> testdata/golden/metrics_names.txt
 	$(GO) run ./cmd/mnoc replay -trace testdata/adapt/phase_shift.trace \
 		-metrics-out /tmp/mnoc_adapt_metrics.json > /dev/null
-	$(GO) run ./cmd/metricnames /tmp/mnoc_adapt_metrics.json \
+	$(GO) run ./cmd/mnoc metricnames /tmp/mnoc_adapt_metrics.json \
 		> testdata/golden/metrics_names_adapt.txt
 
 # Diff the metric names a quick-scale run (and an adaptation replay)
@@ -112,22 +112,25 @@ metrics-golden:
 metrics-check:
 	$(GO) run ./cmd/mnoc bench -scale quick \
 		-metrics-out /tmp/mnoc_metrics.json > /dev/null
-	$(GO) run ./cmd/metricnames /tmp/mnoc_metrics.json \
+	$(GO) run ./cmd/mnoc metricnames /tmp/mnoc_metrics.json \
 		> /tmp/mnoc_metrics_names.txt
 	diff -u testdata/golden/metrics_names.txt /tmp/mnoc_metrics_names.txt
 	$(GO) run ./cmd/mnoc replay -trace testdata/adapt/phase_shift.trace \
 		-metrics-out /tmp/mnoc_adapt_metrics.json > /dev/null
-	$(GO) run ./cmd/metricnames /tmp/mnoc_adapt_metrics.json \
+	$(GO) run ./cmd/mnoc metricnames /tmp/mnoc_adapt_metrics.json \
 		> /tmp/mnoc_adapt_metrics_names.txt
 	diff -u testdata/golden/metrics_names_adapt.txt /tmp/mnoc_adapt_metrics_names.txt
 
-# Short seeded fuzz passes over the text-format parsers, the telemetry
-# exporters, and the serve-path request decoder (every body is either
-# accepted or refused with a 400 JSON error envelope). CI runs this.
+# Short seeded fuzz passes (seven targets, 10 s each) over the
+# text-format parsers (including the mnoc-adapt-trace v1 reader behind
+# replay -trace and serve -adapt-trace), the telemetry exporters, and
+# the serve-path request decoder (every body is either accepted or
+# refused with a 400 JSON error envelope). CI runs this.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDBLinearRoundTrip -fuzztime=10s ./internal/phys
 	$(GO) test -run=^$$ -fuzz=FuzzLossTransmissionRoundTrip -fuzztime=10s ./internal/phys
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/fault
+	$(GO) test -run=^$$ -fuzz=FuzzParseTrace -fuzztime=10s ./internal/adapt
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=10s ./internal/drivetable
 	$(GO) test -run=^$$ -fuzz=FuzzExporters -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePost -fuzztime=10s ./internal/server
@@ -153,7 +156,7 @@ BENCHTIME ?= 1s
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem \
 		-benchtime=$(BENCHTIME) $(BENCH_PKGS) | tee /tmp/mnoc_bench_raw.txt
-	$(GO) run ./cmd/benchjson emit -in /tmp/mnoc_bench_raw.txt \
+	$(GO) run ./cmd/mnoc benchjson emit -in /tmp/mnoc_bench_raw.txt \
 		-out $(BENCH_FILE) -scale $(BENCH_SCALE) -date $(BENCH_DATE)
 
 # Compare the freshly measured BENCH_<date>.json against the committed
@@ -161,7 +164,7 @@ bench:
 # or a baseline benchmark that disappeared. Run `make bench` first (CI
 # runs `make bench bench-check`).
 bench-check:
-	$(GO) run ./cmd/benchjson check \
+	$(GO) run ./cmd/mnoc benchjson check \
 		-baseline BENCH_baseline.json -current $(BENCH_FILE)
 
 # Refresh the committed baseline after an intentional perf change and

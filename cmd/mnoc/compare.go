@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
+	"io"
 
 	"mnoc/internal/exp"
 	"mnoc/internal/power"
@@ -19,78 +17,60 @@ import (
 // crossbar literature — yielding a worst-vs-average Pareto row per
 // topology. Solves flow through the same artifact cache as `mnoc
 // bench`, so a warm cache makes this instant.
-func compareCmd(args []string) {
-	fs := flag.NewFlagSet("mnoc compare", flag.ExitOnError)
-	var (
-		bench      = fs.String("bench", "water_s", "workload to price")
-		loss       = fs.String("loss", "average", "loss model: average, or worst for the worst-vs-average table")
-		scale      = fs.String("scale", "paper", "paper (radix-256) or quick (radix-64)")
-		seed       = fs.Int64("seed", 1, "random seed for workloads and heuristics")
-		qap        = fs.Bool("qap", false, "apply QAP thread mapping before evaluation")
-		workers    = fs.Int("workers", 0, "worker goroutines for the design solves")
-		cacheDir   = fs.String("cache-dir", "", "persistent artifact cache directory (shared with mnoc bench)")
-		configPath = fs.String("config", "", "JSON runner config file; explicitly-set flags override it")
-	)
-	fs.Parse(args)
+func compareCmd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("compare", stderr)
+	bench := fs.String("bench", "water_s", "workload to price")
+	loss := fs.String("loss", "average", "loss model: average, or worst for the worst-vs-average table")
+	fs.String("scale", "paper", "paper (radix-256) or quick (radix-64)")
+	fs.Int64("seed", 1, "random seed for workloads and heuristics")
+	qap := fs.Bool("qap", false, "apply QAP thread mapping before evaluation")
+	fs.Int("workers", 0, "worker goroutines for the design solves")
+	fs.String("cache-dir", "", "persistent artifact cache directory (shared with mnoc bench)")
+	configPath := fs.String("config", "", "JSON runner config file; explicitly-set flags override it")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	model, err := power.ParseLossModel(*loss)
 	if err != nil {
-		fail("compare", err)
+		return err
 	}
-	cfg, err := loadBase(*configPath)
+	cfg, err := runnerConfig(fs, *configPath)
 	if err != nil {
-		fail("compare", err)
+		return err
 	}
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "scale":
-			cfg.Scale = *scale
-			cfg.Options = nil
-		case "seed":
-			cfg.Seed = *seed
-		case "workers":
-			cfg.Workers = *workers
-		case "cache-dir":
-			cfg.CacheDir = *cacheDir
-		}
-	})
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
 	r, err := runner.New(cfg)
 	if err != nil {
-		fail("compare", err)
+		return err
 	}
 	c := r.Context()
-	fmt.Printf("mnoc compare: bench=%s scale=%s radix=%d seed=%d qap=%v loss=%s\n\n",
+	fmt.Fprintf(stdout, "mnoc compare: bench=%s scale=%s radix=%d seed=%d qap=%v loss=%s\n\n",
 		*bench, scaleName(cfg), r.Options().N, r.Options().Seed, *qap, model)
 
 	if model == power.LossWorst {
-		fmt.Printf("%-10s %12s %12s %10s %10s %10s\n",
+		fmt.Fprintf(stdout, "%-10s %12s %12s %10s %10s %10s\n",
 			"design", "avg_w", "worst_w", "wc/avg", "avg_norm", "worst_norm")
-		for _, kind := range exp.DesignKinds() {
-			avg, avgBaseW, err := c.EvaluateDesign(ctx, kind, *bench, *qap)
-			if err != nil {
-				fail("compare", err)
-			}
-			wc, wcBaseW, err := c.EvaluateDesignLoss(ctx, kind, *bench, *qap, power.LossWorst)
-			if err != nil {
-				fail("compare", err)
-			}
-			aw, ww := avg.TotalWatts(), wc.TotalWatts()
-			fmt.Printf("%-10s %12.4f %12.4f %10.3f %10.3f %10.3f\n",
-				kind, aw, ww, ww/aw, aw/avgBaseW, ww/wcBaseW)
-		}
 	} else {
-		fmt.Printf("%-10s %12s %10s\n", "design", "total_w", "norm")
-		for _, kind := range exp.DesignKinds() {
-			b, baseW, err := c.EvaluateDesign(ctx, kind, *bench, *qap)
-			if err != nil {
-				fail("compare", err)
-			}
-			fmt.Printf("%-10s %12.4f %10.3f\n", kind, b.TotalWatts(), b.TotalWatts()/baseW)
-		}
+		fmt.Fprintf(stdout, "%-10s %12s %10s\n", "design", "total_w", "norm")
 	}
-	fmt.Fprintln(os.Stderr, "mnoc compare:", r.Summary())
+	for _, kind := range exp.DesignKinds() {
+		avg, avgBaseW, err := c.EvaluateDesign(ctx, kind, *bench, *qap)
+		if err != nil {
+			return err
+		}
+		aw := avg.TotalWatts()
+		if model != power.LossWorst {
+			fmt.Fprintf(stdout, "%-10s %12.4f %10.3f\n", kind, aw, aw/avgBaseW)
+			continue
+		}
+		wc, wcBaseW, err := c.EvaluateDesignLoss(ctx, kind, *bench, *qap, power.LossWorst)
+		if err != nil {
+			return err
+		}
+		ww := wc.TotalWatts()
+		fmt.Fprintf(stdout, "%-10s %12.4f %12.4f %10.3f %10.3f %10.3f\n",
+			kind, aw, ww, ww/aw, aw/avgBaseW, ww/wcBaseW)
+	}
+	fmt.Fprintln(stderr, "mnoc compare:", r.Summary())
+	return nil
 }

@@ -1,9 +1,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strconv"
 	"strings"
 	"time"
@@ -19,29 +20,29 @@ import (
 // fault schedule at each sweep point, so the comparison isolates the
 // recovery ladder. Sweep points run in parallel on the worker pool;
 // output is deterministic for fixed flags.
-func faultCmd(args []string) {
+func faultCmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	def := runner.DefaultFaultConfig()
-	fs := flag.NewFlagSet("mnoc fault", flag.ExitOnError)
-	var (
-		n          = fs.Int("n", def.N, "crossbar radix")
-		bench      = fs.String("bench", def.Bench, "workload (SPLASH stand-in or syn_*)")
-		cycles     = fs.Uint64("cycles", def.Cycles, "trace duration in cycles")
-		flits      = fs.Int("flits", def.Flits, "total flits injected")
-		seed       = fs.Int64("seed", def.Seed, "seed for trace and fault injection")
-		scalesArg  = fs.String("scales", formatScales(def.Scales), "comma-separated fault-rate multipliers")
-		saveSched  = fs.String("save-schedule", "", "write the last sweep point's fault schedule to this file")
-		loadSched  = fs.String("schedule", "", "replay this fault schedule instead of sweeping (single point)")
-		verbose    = fs.Bool("v", false, "log every recovery action")
-		workers    = fs.Int("workers", 0, "worker goroutines for parallel sweep points (0 = default)")
-		cacheDir   = fs.String("cache-dir", "", "persistent artifact cache directory (reuses traces across runs)")
-		configPath = fs.String("config", "", "JSON runner config file; explicitly-set flags override its fault section")
-	)
-	tf := addTelemetryFlags(fs)
-	fs.Parse(args)
+	fs := newFlagSet("fault", stderr)
+	n := fs.Int("n", def.N, "crossbar radix")
+	bench := fs.String("bench", def.Bench, "workload (SPLASH stand-in or syn_*)")
+	cycles := fs.Uint64("cycles", def.Cycles, "trace duration in cycles")
+	flits := fs.Int("flits", def.Flits, "total flits injected")
+	seed := fs.Int64("seed", def.Seed, "seed for trace and fault injection")
+	scalesArg := fs.String("scales", formatScales(def.Scales), "comma-separated fault-rate multipliers")
+	saveSched := fs.String("save-schedule", "", "write the last sweep point's fault schedule to this file")
+	loadSched := fs.String("schedule", "", "replay this fault schedule instead of sweeping (single point)")
+	verbose := fs.Bool("v", false, "log every recovery action")
+	fs.Int("workers", 0, "worker goroutines for parallel sweep points (0 = default)")
+	fs.String("cache-dir", "", "persistent artifact cache directory (reuses traces across runs)")
+	configPath := fs.String("config", "", "JSON runner config file; explicitly-set flags override its fault section")
+	addTelemetryFlags(fs)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
-	base, err := loadBase(*configPath)
+	base, err := runnerConfig(fs, *configPath)
 	if err != nil {
-		fail("fault", err)
+		return err
 	}
 	// Start from the config file's fault section, filling unset fields
 	// with the historical mnoc-fault defaults.
@@ -64,8 +65,6 @@ func faultCmd(args []string) {
 	if len(fc.Scales) == 0 && fc.SchedulePath == "" {
 		fc.Scales = def.Scales
 	}
-	cfgWorkers, cfgCache := base.ResolveWorkers(), base.CacheDir
-	metricsOut, traceOut, pprofAddr := base.MetricsOut, base.TraceOut, base.PprofAddr
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "n":
@@ -79,58 +78,45 @@ func faultCmd(args []string) {
 		case "seed":
 			fc.Seed = *seed
 		case "scales":
-			parsed, err := parseScales(*scalesArg)
-			if err != nil {
-				fail("fault", err)
-			}
-			fc.Scales = parsed
+			fc.Scales, err = parseScales(*scalesArg)
 		case "save-schedule":
 			fc.SaveSchedulePath = *saveSched
 		case "schedule":
 			fc.SchedulePath = *loadSched
 		case "v":
 			fc.Verbose = *verbose
-		case "workers":
-			cfgWorkers = *workers
-		case "cache-dir":
-			cfgCache = *cacheDir
-		case "metrics-out":
-			metricsOut = *tf.metricsOut
-		case "trace-out":
-			traceOut = *tf.traceOut
-		case "pprof":
-			pprofAddr = *tf.pprofAddr
 		}
 	})
-	if cfgWorkers < 1 {
-		cfgWorkers = runner.DefaultWorkers
-	}
-
-	store, err := runner.NewStore(cfgCache)
 	if err != nil {
-		fail("fault", err)
+		return err
 	}
-	startPprof("fault", pprofAddr)
+	workers := base.ResolveWorkers()
+
+	store, err := runner.NewStore(base.CacheDir)
+	if err != nil {
+		return err
+	}
+	startPprof(stderr, "fault", base.PprofAddr)
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(telemetry.DefaultTraceCapacity)
 	begin := time.Now()
-	res, err := runner.FaultSweep(store, cfgWorkers, fc, reg, tracer)
+	res, err := runner.FaultSweep(store, workers, fc, reg, tracer)
 	if err != nil {
-		fail("fault", err)
+		return err
 	}
 
-	fmt.Printf("mnoc fault: n=%d bench=%s cycles=%d flits=%d seed=%d\n",
+	fmt.Fprintf(stdout, "mnoc fault: n=%d bench=%s cycles=%d flits=%d seed=%d\n",
 		fc.N, res.Bench, fc.Cycles, fc.Flits, fc.Seed)
-	fmt.Printf("network: %d modes, %d packets offered per point\n\n", res.Modes, res.Packets)
-	if err := res.Render(os.Stdout, fc.Verbose); err != nil {
-		fail("fault", err)
+	fmt.Fprintf(stdout, "network: %d modes, %d packets offered per point\n\n", res.Modes, res.Packets)
+	if err := res.Render(stdout, fc.Verbose); err != nil {
+		return err
 	}
 
 	if fc.SaveSchedulePath != "" {
 		if err := res.SaveSchedule(fc.SaveSchedulePath); err != nil {
-			fail("fault", err)
+			return err
 		}
-		fmt.Printf("\nwrote fault schedule to %s\n", fc.SaveSchedulePath)
+		fmt.Fprintf(stdout, "\nwrote fault schedule to %s\n", fc.SaveSchedulePath)
 	}
 
 	meta := map[string]any{
@@ -139,12 +125,10 @@ func faultCmd(args []string) {
 		"bench":      res.Bench,
 		"seed":       fc.Seed,
 		"points":     len(res.Points),
-		"workers":    cfgWorkers,
+		"workers":    workers,
 		"wall_ms":    time.Since(begin).Milliseconds(),
 	}
-	if err := writeTelemetry(reg, tracer, metricsOut, traceOut, meta); err != nil {
-		fail("fault", err)
-	}
+	return writeTelemetry(reg, tracer, base.MetricsOut, base.TraceOut, meta)
 }
 
 // parseScales parses the comma-separated multiplier list.

@@ -3,11 +3,9 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"net/http"
-	"os"
-	"os/signal"
 	"sort"
 	"time"
 
@@ -19,8 +17,8 @@ import (
 // acceptance harness for the admission controller, coalescing and the
 // artifact cache under concurrency. Any non-200 response counts as a
 // failure and makes the command exit 1.
-func loadCmd(args []string) {
-	fs := flag.NewFlagSet("mnoc load", flag.ExitOnError)
+func loadCmd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("load", stderr)
 	var (
 		url         = fs.String("url", "http://localhost:8080", "base URL of the running server")
 		addrList    = fs.String("addr", "", "comma-separated base URLs; workers round-robin across them (wins over -url)")
@@ -33,7 +31,9 @@ func loadCmd(args []string) {
 		retries     = fs.Int("retries", 3, "max retries of a 429 response, honouring Retry-After plus jitter (0 = fail immediately)")
 		retrySeed   = fs.Int64("retry-seed", 1, "seed for the retry jitter, for reproducible load runs")
 	)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	opts := server.LoadOptions{
 		BaseURL:     *url,
@@ -50,9 +50,6 @@ func loadCmd(args []string) {
 		opts.Mix = []server.SolveRequest{{Bench: *bench, Kind: *kind, QAP: *qap}}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
 	// Identify each target before firing: /version says whether it is a
 	// single replica or a fleet proxy (and how wide its ring is), so a
 	// load report is attributable to the thing it actually hit.
@@ -61,13 +58,13 @@ func loadCmd(args []string) {
 		targets = []string{opts.BaseURL}
 	}
 	for _, base := range targets {
-		fmt.Println("mnoc load:", describeTarget(ctx, base))
+		fmt.Fprintln(stdout, "mnoc load:", describeTarget(ctx, base))
 	}
 	res, err := server.RunLoad(ctx, opts)
 	if err != nil {
-		fail("load", err)
+		return err
 	}
-	fmt.Println("mnoc load:", res)
+	fmt.Fprintln(stdout, "mnoc load:", res)
 	statuses := make([]int, 0, len(res.Statuses))
 	for s := range res.Statuses {
 		statuses = append(statuses, s)
@@ -78,14 +75,15 @@ func loadCmd(args []string) {
 		if s == 0 {
 			label = "transport error"
 		}
-		fmt.Printf("mnoc load:   %-15s %d\n", label, res.Statuses[s])
+		fmt.Fprintf(stdout, "mnoc load:   %-15s %d\n", label, res.Statuses[s])
 	}
 	if res.Retries > 0 {
-		fmt.Printf("mnoc load:   %-15s %d\n", "retried 429s", res.Retries)
+		fmt.Fprintf(stdout, "mnoc load:   %-15s %d\n", "retried 429s", res.Retries)
 	}
 	if res.Failures > 0 {
-		fail("load", fmt.Errorf("%d of %d requests failed", res.Failures, res.Requests))
+		return fmt.Errorf("%d of %d requests failed", res.Failures, res.Requests)
 	}
+	return nil
 }
 
 // describeTarget probes one base URL's /version. Unreachable or

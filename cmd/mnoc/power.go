@@ -1,12 +1,11 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"os"
+	"io"
 
 	"mnoc/internal/core"
-	"mnoc/internal/mapping"
 	"mnoc/internal/phys"
 	"mnoc/internal/power"
 	"mnoc/internal/runner"
@@ -16,138 +15,66 @@ import (
 // powerCmd evaluates the power of a packet trace (from `mnoc trace` or
 // `mnoc sim`) under a chosen power topology and thread mapping, and
 // compares against the rNoC and clustered baselines.
-func powerCmd(args []string) {
-	fs := flag.NewFlagSet("mnoc power", flag.ExitOnError)
+func powerCmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("power", stderr)
 	var (
 		in       = fs.String("i", "", "input trace file (this or -matrix is required)")
 		matrix   = fs.String("matrix", "", "input CSV traffic matrix (flits; alternative to -i)")
 		cyc      = fs.Float64("cycles", 1e6, "evaluation window in cycles when using -matrix")
-		kind     = fs.String("kind", "comm4", "design kind: comm2, comm4, dist2, dist4, broadcast")
+		kind     = fs.String("kind", "comm4", "design kind: "+designKinds)
 		qap      = fs.Bool("qap", true, "apply QAP thread mapping")
 		seed     = fs.Int64("seed", 1, "random seed for the QAP search")
 		cacheDir = fs.String("cache-dir", "", "persistent artifact cache directory (reuses QAP solves across runs)")
 	)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	var profile *trace.Matrix
 	var cycles float64
 	var source string
 	switch {
 	case *in != "" && *matrix != "":
-		fail("power", fmt.Errorf("-i and -matrix are mutually exclusive"))
+		return fmt.Errorf("-i and -matrix are mutually exclusive")
 	case *in != "":
-		f, err := os.Open(*in)
+		tr, err := readFile(*in, trace.Read)
 		if err != nil {
-			fail("power", err)
-		}
-		tr, err := trace.Read(f)
-		if err != nil {
-			fail("power", err)
-		}
-		if err := f.Close(); err != nil {
-			fail("power", err)
+			return err
 		}
 		profile = tr.Matrix()
 		cycles = float64(tr.Cycles)
 		source = fmt.Sprintf("%s (n=%d, %d packets, %d cycles)", *in, tr.N, len(tr.Packets), tr.Cycles)
 	case *matrix != "":
-		f, err := os.Open(*matrix)
+		m, err := readFile(*matrix, trace.ReadCSV)
 		if err != nil {
-			fail("power", err)
-		}
-		m, err := trace.ReadCSV(f)
-		if err != nil {
-			fail("power", err)
-		}
-		if err := f.Close(); err != nil {
-			fail("power", err)
+			return err
 		}
 		profile = m
 		cycles = *cyc
 		source = fmt.Sprintf("%s (n=%d CSV matrix, %.0f cycles)", *matrix, m.N, cycles)
 	default:
-		fail("power", fmt.Errorf("-i or -matrix is required"))
+		return fmt.Errorf("-i or -matrix is required")
 	}
 
 	store, err := runner.NewStore(*cacheDir)
 	if err != nil {
-		fail("power", err)
+		return err
 	}
 	sys, err := core.NewSystem(profile.N)
 	if err != nil {
-		fail("power", err)
+		return err
 	}
-
-	base, err := sys.BroadcastDesign()
+	design, base, err := designByKind(sys, store, profile, *kind, *qap, *seed)
 	if err != nil {
-		fail("power", err)
+		return err
 	}
-	design := base
-	if *qap {
-		asg, err := runner.CachedQAP(store, profile, *seed, 0, func() (mapping.Assignment, error) {
-			d, err := design.WithQAPMapping(profile, core.QAPOptions{Seed: *seed})
-			if err != nil {
-				return nil, err
-			}
-			return d.Mapping, nil
-		})
-		if err != nil {
-			fail("power", err)
-		}
-		if design, err = design.WithMapping(asg); err != nil {
-			fail("power", err)
-		}
-	}
-	mapped, err := design.MappedTraffic(profile)
-	if err != nil {
-		fail("power", err)
-	}
-	switch *kind {
-	case "comm2", "comm4":
-		modes := 2
-		if *kind == "comm4" {
-			modes = 4
-		}
-		pt, err := sys.CommAwareDesign(mapped, modes)
-		if err != nil {
-			fail("power", err)
-		}
-		design, err = pt.WithMapping(design.Mapping)
-		if err != nil {
-			fail("power", err)
-		}
-	case "dist2":
-		d, err := sys.DistanceDesign([]int{profile.N / 2, profile.N - 1 - profile.N/2}, power.UniformWeighting(2))
-		if err != nil {
-			fail("power", err)
-		}
-		design, err = d.WithMapping(design.Mapping)
-		if err != nil {
-			fail("power", err)
-		}
-	case "dist4":
-		q := profile.N / 4
-		d, err := sys.DistanceDesign([]int{q, q, q, profile.N - 1 - 3*q}, power.UniformWeighting(4))
-		if err != nil {
-			fail("power", err)
-		}
-		design, err = d.WithMapping(design.Mapping)
-		if err != nil {
-			fail("power", err)
-		}
-	case "broadcast":
-		// keep the base design (with optional mapping)
-	default:
-		fail("power", fmt.Errorf("unknown kind %q", *kind))
-	}
-
 	bd, err := design.Power(profile, cycles)
 	if err != nil {
-		fail("power", err)
+		return err
 	}
 	baseBd, err := base.Network.Evaluate(profile, cycles)
 	if err != nil {
-		fail("power", err)
+		return err
 	}
 
 	// The clustered baselines need at least two 4-node clusters.
@@ -156,24 +83,24 @@ func powerCmd(args []string) {
 	if haveClustered {
 		rnoc, err := power.NewRNoC(profile.N, 4)
 		if err != nil {
-			fail("power", err)
+			return err
 		}
 		if rb, err = rnoc.Evaluate(profile, cycles); err != nil {
-			fail("power", err)
+			return err
 		}
 		cm, err := power.NewCMNoC(profile.N, 4)
 		if err != nil {
-			fail("power", err)
+			return err
 		}
 		if cb, err = cm.Evaluate(profile, cycles); err != nil {
-			fail("power", err)
+			return err
 		}
 	}
 
-	fmt.Printf("input:     %s\n", source)
-	fmt.Printf("design:    %s  qap=%v\n", design.Topology.Name, *qap)
+	fmt.Fprintf(stdout, "input:     %s\n", source)
+	fmt.Fprintf(stdout, "design:    %s  qap=%v\n", design.Topology.Name, *qap)
 	row := func(name string, b power.Breakdown) {
-		fmt.Printf("%-10s total=%-10s source=%-10s oe=%-10s elec=%-10s ring=%-10s laser=%s\n",
+		fmt.Fprintf(stdout, "%-10s total=%-10s source=%-10s oe=%-10s elec=%-10s ring=%-10s laser=%s\n",
 			name, phys.FormatPower(b.TotalUW()), phys.FormatPower(b.SourceUW),
 			phys.FormatPower(b.OEUW), phys.FormatPower(b.ElectricalUW),
 			phys.FormatPower(b.RingTrimUW), phys.FormatPower(b.LaserUW))
@@ -184,5 +111,6 @@ func powerCmd(args []string) {
 		row("rNoC", rb)
 		row("c_mNoC", cb)
 	}
-	fmt.Printf("reduction vs base mNoC: %.1f%%\n", 100*(1-bd.TotalUW()/baseBd.TotalUW()))
+	fmt.Fprintf(stdout, "reduction vs base mNoC: %.1f%%\n", 100*(1-bd.TotalUW()/baseBd.TotalUW()))
+	return nil
 }

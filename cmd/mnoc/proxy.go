@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
+	"io"
 	"strings"
 	"time"
 
@@ -16,8 +14,8 @@ import (
 // each request's flight key across the backend replicas, so identical
 // requests land on — and coalesce at — one replica fleet-wide, with
 // health-checked eviction and bounded failover on connection errors.
-func proxyCmd(args []string) {
-	fs := flag.NewFlagSet("mnoc proxy", flag.ExitOnError)
+func proxyCmd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("proxy", stderr)
 	var (
 		addr      = fs.String("addr", ":8090", "listen address (use :0 for a random port)")
 		backends  = fs.String("backends", "", "comma-separated backend base URLs (required), e.g. http://h1:8080,http://h2:8080")
@@ -26,10 +24,12 @@ func proxyCmd(args []string) {
 		failovers = fs.Int("failovers", 2, "max additional backends tried after a connection error")
 		drainMS   = fs.Int64("drain-ms", 10_000, "how long shutdown waits for in-flight requests")
 	)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	if *backends == "" {
-		fail("proxy", fmt.Errorf("-backends is required (comma-separated base URLs)"))
+		return fmt.Errorf("-backends is required (comma-separated base URLs)")
 	}
 	list := splitList(*backends)
 	p, err := fleet.NewProxy(fleet.ProxyConfig{
@@ -40,21 +40,17 @@ func proxyCmd(args []string) {
 		Version:        version,
 	})
 	if err != nil {
-		fail("proxy", err)
+		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	ready := func(bound string) {
-		fmt.Printf("mnoc proxy: listening on http://%s (ring=%d replicas=%d failovers=%d)\n",
+		fmt.Fprintf(stdout, "mnoc proxy: listening on http://%s (ring=%d replicas=%d failovers=%d)\n",
 			bound, p.Ring().Size(), *replicas, *failovers)
 		for _, b := range list {
-			fmt.Printf("mnoc proxy:   backend %s\n", b)
+			fmt.Fprintf(stdout, "mnoc proxy:   backend %s\n", b)
 		}
 	}
-	if err := p.Serve(ctx, *addr, time.Duration(*drainMS)*time.Millisecond, ready); err != nil {
-		fail("proxy", err)
-	}
+	return p.Serve(ctx, *addr, time.Duration(*drainMS)*time.Millisecond, ready)
 }
 
 // splitList parses a comma-separated flag value, trimming whitespace

@@ -1,9 +1,9 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"os"
+	"io"
 	"strconv"
 	"strings"
 	"time"
@@ -12,6 +12,7 @@ import (
 	"mnoc/internal/fault"
 	"mnoc/internal/phys"
 	"mnoc/internal/telemetry"
+	"mnoc/internal/trace"
 	"mnoc/internal/workload"
 )
 
@@ -20,110 +21,121 @@ import (
 // decision log — the offline twin of `mnoc serve -adapt`. With -gen it
 // instead records a phased workload trace in the canonical text format
 // (docs/ADAPT.md), the input the replay and CI smoke jobs consume.
-func replayCmd(args []string) {
-	fs := flag.NewFlagSet("mnoc replay", flag.ExitOnError)
-	var (
-		tracePath = fs.String("trace", "", "recorded traffic trace (mnoc-adapt-trace v1 text format)")
-		window    = fs.Uint64("window", 25_000, "observation window length in cycles")
-		seed      = fs.Int64("seed", 7, "seed for the warm-started QAP re-solves")
-		qapIters  = fs.Int("qap-iters", 0, "tabu-search iterations per re-solve (0 = 40*n)")
-		guardDB   = fs.Float64("guard-db", 0.5, "chip-wide drive guard band in dB for margin and loss checks")
-		faultsIn  = fs.String("faults", "", "optional fault schedule to replay alongside the traffic (mnoc-fault-schedule v1)")
-		speed     = fs.Float64("speed", 0, "replay pacing in cycles per second (0 = as fast as possible)")
-		logOut    = fs.String("log", "", "write the decision log to this file instead of stdout")
+func replayCmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("replay", stderr)
+	var s adaptSetup
+	fs.StringVar(&s.tracePath, "trace", "", "recorded traffic trace (mnoc-adapt-trace v1 text format)")
+	fs.Uint64Var(&s.window, "window", 25_000, "observation window length in cycles")
+	fs.Int64Var(&s.seed, "seed", 7, "seed for the warm-started QAP re-solves")
+	fs.IntVar(&s.qapIters, "qap-iters", 0, "tabu-search iterations per re-solve (0 = 40*n)")
+	fs.Float64Var(&s.guardDB, "guard-db", 0.5, "chip-wide drive guard band in dB for margin and loss checks")
+	fs.StringVar(&s.faultsPath, "faults", "", "optional fault schedule to replay alongside the traffic (mnoc-fault-schedule v1)")
+	fs.Float64Var(&s.speed, "speed", 0, "replay pacing in cycles per second (0 = as fast as possible)")
+	logOut := fs.String("log", "", "write the decision log to this file instead of stdout")
 
-		gen    = fs.Bool("gen", false, "generate a phased trace instead of replaying one")
-		out    = fs.String("out", "", "with -gen: output file (default stdout)")
-		n      = fs.Int("n", 16, "with -gen: node count")
-		phases = fs.String("phases", "water_s:100000:2000,radix:100000:2000",
-			"with -gen: comma-separated bench:cycles:flits phases")
-	)
+	gen := fs.Bool("gen", false, "generate a phased trace instead of replaying one")
+	out := fs.String("out", "", "with -gen: output file (default stdout)")
+	n := fs.Int("n", 16, "with -gen: node count")
+	phases := fs.String("phases", "water_s:100000:2000,radix:100000:2000",
+		"with -gen: comma-separated bench:cycles:flits phases")
 	tel := addTelemetryFlags(fs)
-	fs.Parse(args)
-	startPprof("replay", *tel.pprofAddr)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	startPprof(stderr, "replay", *tel.pprofAddr)
 
 	if *gen {
-		if err := genTrace(*out, *n, *phases, *seed); err != nil {
-			fail("replay", err)
-		}
-		return
+		return genTrace(stdout, *out, *n, *phases, s.seed)
 	}
-	if *tracePath == "" {
-		fail("replay", fmt.Errorf("need -trace (or -gen); run 'mnoc replay -h'"))
+	if s.tracePath == "" {
+		return fmt.Errorf("need -trace (or -gen); run 'mnoc replay -h'")
 	}
-	f, err := os.Open(*tracePath)
+	reg := telemetry.NewRegistry()
+	c, tr, err := s.controller(reg)
 	if err != nil {
-		fail("replay", err)
-	}
-	tr, err := adapt.ParseTrace(f)
-	f.Close()
-	if err != nil {
-		fail("replay", err)
-	}
-
-	cfg := adapt.Config{
-		N:            tr.N,
-		WindowCycles: *window,
-		Seed:         *seed,
-		QAPIters:     *qapIters,
-		GuardDB:      phys.Decibels(*guardDB),
-		Lockstep:     true,
-		Tel:          telemetry.NewRegistry(),
-	}
-	if *faultsIn != "" {
-		ff, err := os.Open(*faultsIn)
-		if err != nil {
-			fail("replay", err)
-		}
-		sched, err := fault.Parse(ff)
-		ff.Close()
-		if err != nil {
-			fail("replay", err)
-		}
-		cfg.Faults = sched
-	}
-	c, err := adapt.NewController(cfg)
-	if err != nil {
-		fail("replay", err)
-	}
-
-	perWindow := func(w uint64) {}
-	if *speed > 0 {
-		delay := time.Duration(float64(*window) / *speed * float64(time.Second))
-		perWindow = func(w uint64) { time.Sleep(delay) }
+		return err
 	}
 	begin := time.Now()
-	if err := c.Replay(tr, perWindow); err != nil {
-		fail("replay", err)
+	if err := s.replay(c, tr); err != nil {
+		return err
 	}
 	wall := time.Since(begin)
 
-	logW := os.Stdout
-	if *logOut != "" {
-		lf, err := os.Create(*logOut)
-		if err != nil {
-			fail("replay", err)
-		}
-		defer lf.Close()
-		logW = lf
+	writeLog := func(w io.Writer) error { return adapt.WriteLog(w, c.Log()) }
+	if *logOut == "" {
+		err = writeLog(stdout)
+	} else {
+		err = writeFile(*logOut, writeLog)
 	}
-	if err := adapt.WriteLog(logW, c.Log()); err != nil {
-		fail("replay", err)
+	if err != nil {
+		return err
 	}
 	st := c.Status()
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"mnoc replay: %d packets over %d windows in %.2fs | gen %d | triggers %d resolves %d swaps %d rollbacks %d rejected %d suppressed %d\n",
 		len(tr.Packets), st.Counts.Windows, wall.Seconds(), st.Generation,
 		st.Counts.Triggers, st.Counts.Resolves, st.Counts.Swaps,
 		st.Counts.Rollbacks, st.Counts.Rejected, st.Counts.Suppressed)
-	meta := map[string]any{"subcommand": "replay", "trace": *tracePath, "window": *window, "seed": *seed}
-	if err := writeTelemetry(cfg.Tel, nil, *tel.metricsOut, "", meta); err != nil {
-		fail("replay", err)
-	}
+	meta := map[string]any{"subcommand": "replay", "trace": s.tracePath, "window": s.window, "seed": s.seed}
+	return writeTelemetry(reg, nil, *tel.metricsOut, "", meta)
 }
 
-// genTrace records a phased workload trace in the canonical format.
-func genTrace(out string, n int, phasesSpec string, seed int64) error {
+// adaptSetup describes one adaptation run from the command line; it is
+// shared by `replay` and `serve -adapt`.
+type adaptSetup struct {
+	tracePath  string  // recorded traffic (mnoc-adapt-trace v1)
+	faultsPath string  // optional fault schedule replayed alongside
+	window     uint64  // observation window, cycles
+	seed       int64   // seed for the warm-started QAP re-solves
+	qapIters   int     // tabu iterations per re-solve (0 = default)
+	guardDB    float64 // guard band for the margin and loss checks
+	speed      float64 // pacing in cycles per second (0 = unpaced)
+}
+
+// controller loads the trace and the optional fault schedule and builds
+// the adaptation controller, publishing into tel. Lockstep is on: the
+// feeder joins each background re-solve at the next window boundary, so
+// the decision log is a deterministic function of the trace and seed.
+func (s adaptSetup) controller(tel *telemetry.Registry) (*adapt.Controller, *trace.Trace, error) {
+	tr, err := readFile(s.tracePath, adapt.ParseTrace)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := adapt.Config{
+		N:            tr.N,
+		WindowCycles: s.window,
+		Seed:         s.seed,
+		QAPIters:     s.qapIters,
+		GuardDB:      phys.Decibels(s.guardDB),
+		Lockstep:     true,
+		Tel:          tel,
+	}
+	if s.faultsPath != "" {
+		if cfg.Faults, err = readFile(s.faultsPath, fault.Parse); err != nil {
+			return nil, nil, err
+		}
+	}
+	ctrl, err := adapt.NewController(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ctrl, tr, nil
+}
+
+// replay feeds the trace through the controller, sleeping one window's
+// worth of wall time per window when a pacing speed is set.
+func (s adaptSetup) replay(ctrl *adapt.Controller, tr *trace.Trace) error {
+	perWindow := func(uint64) {}
+	if s.speed > 0 {
+		delay := time.Duration(float64(s.window) / s.speed * float64(time.Second))
+		perWindow = func(uint64) { time.Sleep(delay) }
+	}
+	return ctrl.Replay(tr, perWindow)
+}
+
+// genTrace records a phased workload trace in the canonical format, to
+// out or (when out is empty) stdout.
+func genTrace(stdout io.Writer, out string, n int, phasesSpec string, seed int64) error {
 	var phases []workload.Phase
 	for _, part := range strings.Split(phasesSpec, ",") {
 		fields := strings.Split(strings.TrimSpace(part), ":")
@@ -144,14 +156,9 @@ func genTrace(out string, n int, phasesSpec string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	write := func(w io.Writer) error { return adapt.WriteTrace(w, tr) }
+	if out == "" {
+		return write(stdout)
 	}
-	return adapt.WriteTrace(w, tr)
+	return writeFile(out, write)
 }

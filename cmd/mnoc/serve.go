@@ -2,16 +2,12 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
+	"io"
 	"time"
 
 	"mnoc/internal/adapt"
-	"mnoc/internal/fault"
 	"mnoc/internal/fleet"
-	"mnoc/internal/phys"
 	"mnoc/internal/server"
 	"mnoc/internal/telemetry"
 	"mnoc/internal/trace"
@@ -25,66 +21,55 @@ var version string
 // same engine as `mnoc bench`, behind bounded admission, per-request
 // deadlines, and request coalescing. SIGINT drains in-flight requests
 // before exiting.
-func serveCmd(args []string) {
-	fs := flag.NewFlagSet("mnoc serve", flag.ExitOnError)
-	var (
-		addr       = fs.String("addr", ":8080", "listen address (use :0 for a random port)")
-		scale      = fs.String("scale", "paper", "paper (radix-256) or quick (radix-64)")
-		seed       = fs.Int64("seed", 1, "random seed for workloads and heuristics")
-		workers    = fs.Int("workers", 0, "computation worker pool size (0 = runner default)")
-		queue      = fs.Int("queue", 0, "admission queue depth, waiting+running (0 = 4x workers)")
-		cacheDir   = fs.String("cache-dir", "", "persistent artifact cache directory (warm restarts skip every solve)")
-		configPath = fs.String("config", "", "JSON runner config file; explicitly-set flags override it")
-		defaultTO  = fs.Int64("default-timeout-ms", 60_000, "deadline for requests that send no timeout_ms")
-		maxTO      = fs.Int64("max-timeout-ms", 300_000, "ceiling on client-requested deadlines")
-		drainMS    = fs.Int64("drain-ms", 10_000, "how long shutdown waits for in-flight requests")
-		failFast   = fs.Bool("fail-fast", true, "cancel a /v1/bench run on its first entry error")
-		artServe   = fs.Bool("artifact-serve", false, "expose the artifact store on GET/HEAD/PUT /artifacts/<key> so fleet replicas can share it (docs/FLEET.md)")
-		artStore   = fs.String("artifact-store", "", "remote artifact store base URL (a replica running -artifact-serve); wins over -cache-dir")
+func serveCmd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("serve", stderr)
+	addr := fs.String("addr", ":8080", "listen address (use :0 for a random port)")
+	fs.String("scale", "paper", "paper (radix-256) or quick (radix-64)")
+	seed := fs.Int64("seed", 1, "random seed for workloads and heuristics")
+	workers := fs.Int("workers", 0, "computation worker pool size (0 = runner default)")
+	queue := fs.Int("queue", 0, "admission queue depth, waiting+running (0 = 4x workers)")
+	fs.String("cache-dir", "", "persistent artifact cache directory (warm restarts skip every solve)")
+	configPath := fs.String("config", "", "JSON runner config file; explicitly-set flags override it")
+	defaultTO := fs.Int64("default-timeout-ms", 60_000, "deadline for requests that send no timeout_ms")
+	maxTO := fs.Int64("max-timeout-ms", 300_000, "ceiling on client-requested deadlines")
+	drainMS := fs.Int64("drain-ms", 10_000, "how long shutdown waits for in-flight requests")
+	failFast := fs.Bool("fail-fast", true, "cancel a /v1/bench run on its first entry error")
+	artServe := fs.Bool("artifact-serve", false, "expose the artifact store on GET/HEAD/PUT /artifacts/<key> so fleet replicas can share it (docs/FLEET.md)")
+	artStore := fs.String("artifact-store", "", "remote artifact store base URL (a replica running -artifact-serve); wins over -cache-dir")
 
-		adaptOn    = fs.Bool("adapt", false, "run the online adaptation loop (docs/ADAPT.md); exposes /v1/adapt")
-		adaptTrace = fs.String("adapt-trace", "", "traffic trace the adaptation loop replays (mnoc-adapt-trace v1; required with -adapt)")
-		adaptWin   = fs.Uint64("adapt-window", 25_000, "adaptation observation window in cycles")
-		adaptSpeed = fs.Float64("adapt-speed", 0, "adaptation replay pacing in cycles per second (0 = as fast as possible)")
-		adaptGuard = fs.Float64("adapt-guard-db", 0.5, "guard band in dB for the adaptation margin and loss checks")
-		adaptFault = fs.String("adapt-faults", "", "optional fault schedule replayed alongside the adaptation traffic")
-	)
-	fs.Parse(args)
+	adaptOn := fs.Bool("adapt", false, "run the online adaptation loop (docs/ADAPT.md); exposes /v1/adapt")
+	var as adaptSetup
+	fs.StringVar(&as.tracePath, "adapt-trace", "", "traffic trace the adaptation loop replays (mnoc-adapt-trace v1; required with -adapt)")
+	fs.Uint64Var(&as.window, "adapt-window", 25_000, "adaptation observation window in cycles")
+	fs.Float64Var(&as.speed, "adapt-speed", 0, "adaptation replay pacing in cycles per second (0 = as fast as possible)")
+	fs.Float64Var(&as.guardDB, "adapt-guard-db", 0.5, "guard band in dB for the adaptation margin and loss checks")
+	fs.StringVar(&as.faultsPath, "adapt-faults", "", "optional fault schedule replayed alongside the adaptation traffic")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
-	cfg, err := loadBase(*configPath)
+	cfg, err := runnerConfig(fs, *configPath)
 	if err != nil {
-		fail("serve", err)
+		return err
 	}
 	cfg.FailFast = *failFast
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "scale":
-			cfg.Scale = *scale
-			cfg.Options = nil
-		case "seed":
-			cfg.Seed = *seed
-		case "workers":
-			cfg.Workers = *workers
-		case "cache-dir":
-			cfg.CacheDir = *cacheDir
-		}
-	})
 	var remoteStore *fleet.Remote
 	if *artStore != "" {
 		remoteStore = fleet.NewRemote(*artStore)
-		warnIfUnreachable("serve", remoteStore)
+		warnIfUnreachable(stderr, "serve", remoteStore)
 		cfg.Store = remoteStore
 	}
 
 	var ctrl *adapt.Controller
 	var adaptTr *trace.Trace
 	if *adaptOn {
-		if *adaptTrace == "" {
-			fail("serve", fmt.Errorf("-adapt needs -adapt-trace (record one with 'mnoc replay -gen')"))
+		if as.tracePath == "" {
+			return fmt.Errorf("-adapt needs -adapt-trace (record one with 'mnoc replay -gen')")
 		}
-		ctrl, adaptTr, err = buildAdapt(*adaptTrace, *adaptWin, *seed, *adaptGuard, *adaptFault)
-		if err != nil {
-			fail("serve", err)
+		as.seed = *seed
+		// The registry is rebound to the server's before feeding.
+		if ctrl, adaptTr, err = as.controller(telemetry.NewRegistry()); err != nil {
+			return err
 		}
 	}
 
@@ -99,7 +84,7 @@ func serveCmd(args []string) {
 		ArtifactServe:  *artServe,
 	})
 	if err != nil {
-		fail("serve", err)
+		return err
 	}
 	if remoteStore != nil {
 		// The remote store publishes into the server's registry so the
@@ -108,78 +93,25 @@ func serveCmd(args []string) {
 	}
 	if ctrl != nil {
 		// The adaptation loop publishes into the server's registry so
-		// the adapt.* family shows up on /metrics.
+		// the adapt.* family shows up on /metrics, and replays the trace
+		// in the background while the server runs.
 		ctrl.Instrument(s.Runner().Telemetry())
-		go runAdapt(ctrl, adaptTr, *adaptWin, *adaptSpeed)
+		go func() {
+			if err := as.replay(ctrl, adaptTr); err != nil {
+				fmt.Fprintln(stderr, "mnoc serve: adaptation replay:", err)
+				return
+			}
+			st := ctrl.Status()
+			fmt.Fprintf(stderr, "mnoc serve: adaptation replay done | gen %d | windows %d triggers %d resolves %d swaps %d rollbacks %d\n",
+				st.Generation, st.Counts.Windows, st.Counts.Triggers, st.Counts.Resolves, st.Counts.Swaps, st.Counts.Rollbacks)
+		}()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	ready := func(bound string) {
-		fmt.Printf("mnoc serve: listening on http://%s (scale=%s radix=%d seed=%d workers=%d)\n",
+		fmt.Fprintf(stdout, "mnoc serve: listening on http://%s (scale=%s radix=%d seed=%d workers=%d)\n",
 			bound, scaleName(cfg), s.Runner().Options().N, s.Runner().Options().Seed, s.Runner().Workers())
 	}
 	err = s.Serve(ctx, *addr, time.Duration(*drainMS)*time.Millisecond, ready)
-	fmt.Fprintln(os.Stderr, "mnoc serve:", s.Runner().Summary())
-	if err != nil {
-		fail("serve", err)
-	}
-}
-
-// buildAdapt loads the replay inputs and constructs the adaptation
-// controller for serve -adapt. Lockstep is on: the feeder joins each
-// background re-solve at the next window boundary, so the decision
-// log is a deterministic function of the trace and seed.
-func buildAdapt(tracePath string, window uint64, seed int64, guardDB float64, faultsPath string) (*adapt.Controller, *trace.Trace, error) {
-	f, err := os.Open(tracePath)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr, err := adapt.ParseTrace(f)
-	f.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := adapt.Config{
-		N:            tr.N,
-		WindowCycles: window,
-		Seed:         seed,
-		GuardDB:      phys.Decibels(guardDB),
-		Lockstep:     true,
-		Tel:          telemetry.NewRegistry(), // rebound to the server registry before feeding
-	}
-	if faultsPath != "" {
-		ff, err := os.Open(faultsPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		sched, err := fault.Parse(ff)
-		ff.Close()
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Faults = sched
-	}
-	ctrl, err := adapt.NewController(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ctrl, tr, nil
-}
-
-// runAdapt feeds the recorded trace through the controller in the
-// background while the server runs, optionally paced.
-func runAdapt(ctrl *adapt.Controller, tr *trace.Trace, window uint64, speed float64) {
-	perWindow := func(w uint64) {}
-	if speed > 0 {
-		delay := time.Duration(float64(window) / speed * float64(time.Second))
-		perWindow = func(w uint64) { time.Sleep(delay) }
-	}
-	if err := ctrl.Replay(tr, perWindow); err != nil {
-		fmt.Fprintln(os.Stderr, "mnoc serve: adaptation replay:", err)
-		return
-	}
-	st := ctrl.Status()
-	fmt.Fprintf(os.Stderr, "mnoc serve: adaptation replay done | gen %d | windows %d triggers %d resolves %d swaps %d rollbacks %d\n",
-		st.Generation, st.Counts.Windows, st.Counts.Triggers, st.Counts.Resolves, st.Counts.Swaps, st.Counts.Rollbacks)
+	fmt.Fprintln(stderr, "mnoc serve:", s.Runner().Summary())
+	return err
 }

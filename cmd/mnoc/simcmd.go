@@ -1,9 +1,9 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"mnoc/internal/noc"
@@ -15,48 +15,38 @@ import (
 // simCmd runs the trace-driven multicore simulation (the Graphite
 // substitute) of a benchmark over a chosen NoC and reports runtime,
 // memory behaviour and the communication trace it produced.
-func simCmd(args []string) {
-	fs := flag.NewFlagSet("mnoc sim", flag.ExitOnError)
+func simCmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("sim", stderr)
 	var (
 		bench    = fs.String("bench", "fft", "benchmark name")
 		n        = fs.Int("n", 64, "core count")
-		netKind  = fs.String("net", "mnoc", "network model: mnoc, rnoc, cmnoc")
+		netKind  = fs.String("net", "mnoc", "network model: "+networkNames)
 		accesses = fs.Int("accesses", 1000, "memory accesses per core")
 		traceOut = fs.String("trace", "", "write the generated packet trace to this file")
 		seed     = fs.Int64("seed", 1, "random seed")
 	)
 	tf := addTelemetryFlags(fs)
-	fs.Parse(args)
-	startPprof("sim", *tf.pprofAddr)
-
-	var net noc.Network
-	var err error
-	switch *netKind {
-	case "mnoc":
-		net, err = noc.NewMNoC(*n)
-	case "rnoc":
-		net, err = noc.NewRNoC(*n, 4)
-	case "cmnoc":
-		net, err = noc.NewCMNoC(*n, 4)
-	default:
-		err = fmt.Errorf("unknown network %q", *netKind)
+	if err := parseFlags(fs, args); err != nil {
+		return err
 	}
+	startPprof(stderr, "sim", *tf.pprofAddr)
+
+	net, err := newNetwork(*netKind, *n)
 	if err != nil {
-		fail("sim", err)
+		return err
 	}
-
 	b, err := workload.Resolve(*bench)
 	if err != nil {
-		fail("sim", err)
+		return err
 	}
 	cfg := sim.DefaultConfig(*n)
 	streams, err := sim.StreamsFromBenchmark(b, cfg, *accesses, *seed)
 	if err != nil {
-		fail("sim", err)
+		return err
 	}
 	machine, err := sim.NewMachine(cfg, net)
 	if err != nil {
-		fail("sim", err)
+		return err
 	}
 	reg := telemetry.NewRegistry()
 	spanTracer := telemetry.NewTracer(telemetry.DefaultTraceCapacity)
@@ -64,31 +54,24 @@ func simCmd(args []string) {
 	begin := time.Now()
 	res, err := machine.Run(streams)
 	if err != nil {
-		fail("sim", err)
+		return err
 	}
 
-	fmt.Printf("benchmark:      %s (%s)\n", b.Name, b.Description)
-	fmt.Printf("network:        %s\n", res.NetworkName)
-	fmt.Printf("runtime:        %d cycles\n", res.RuntimeCycles)
-	fmt.Printf("accesses:       %d (%d L2 misses, %.1f%%)\n",
+	fmt.Fprintf(stdout, "benchmark:      %s (%s)\n", b.Name, b.Description)
+	fmt.Fprintf(stdout, "network:        %s\n", res.NetworkName)
+	fmt.Fprintf(stdout, "runtime:        %d cycles\n", res.RuntimeCycles)
+	fmt.Fprintf(stdout, "accesses:       %d (%d L2 misses, %.1f%%)\n",
 		res.Accesses, res.L2Misses, 100*float64(res.L2Misses)/float64(res.Accesses))
-	fmt.Printf("avg miss stall: %.1f cycles\n", res.AvgMemLatency)
-	fmt.Printf("packets:        %d\n", len(res.Trace.Packets))
-	fmt.Printf("directory:      reads=%d writes=%d fwds=%d invs=%d\n",
+	fmt.Fprintf(stdout, "avg miss stall: %.1f cycles\n", res.AvgMemLatency)
+	fmt.Fprintf(stdout, "packets:        %d\n", len(res.Trace.Packets))
+	fmt.Fprintf(stdout, "directory:      reads=%d writes=%d fwds=%d invs=%d\n",
 		res.Directory.Reads, res.Directory.Writes, res.Directory.Forwards, res.Directory.InvalidationsSent)
 
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fail("sim", err)
+		if err := writeFile(*traceOut, res.Trace.Write); err != nil {
+			return err
 		}
-		if err := res.Trace.Write(f); err != nil {
-			fail("sim", err)
-		}
-		if err := f.Close(); err != nil {
-			fail("sim", err)
-		}
-		fmt.Printf("trace written:  %s\n", *traceOut)
+		fmt.Fprintf(stdout, "trace written:  %s\n", *traceOut)
 	}
 
 	meta := map[string]any{
@@ -100,7 +83,25 @@ func simCmd(args []string) {
 		"seed":       *seed,
 		"wall_ms":    time.Since(begin).Milliseconds(),
 	}
-	if err := writeTelemetry(reg, spanTracer, *tf.metricsOut, *tf.traceOut, meta); err != nil {
-		fail("sim", err)
+	return writeTelemetry(reg, spanTracer, *tf.metricsOut, *tf.traceOut, meta)
+}
+
+// networkNames is the timing-model set `sim -net` and
+// `trace info -replay` accept.
+const networkNames = "mnoc, rnoc, cmnoc, mwsr"
+
+// newNetwork builds the named timing model at radix n; the clustered
+// models use 4-node clusters.
+func newNetwork(name string, n int) (noc.Network, error) {
+	switch name {
+	case "mnoc":
+		return noc.NewMNoC(n)
+	case "rnoc":
+		return noc.NewRNoC(n, 4)
+	case "cmnoc":
+		return noc.NewCMNoC(n, 4)
+	case "mwsr":
+		return noc.NewMWSR(n)
 	}
+	return nil, fmt.Errorf("unknown network %q (want one of %s)", name, networkNames)
 }

@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
+	"io"
 	"strings"
 	"time"
 
@@ -24,97 +22,83 @@ import (
 // single-process `mnoc bench` run of the same entries: tables go to
 // stdout, everything else to stderr, so `mnoc sweep | diff - golden`
 // is the acceptance check.
-func sweepCmd(args []string) {
-	fs := flag.NewFlagSet("mnoc sweep", flag.ExitOnError)
-	var (
-		which      = fs.String("exp", "all", "experiment id, 'all' (paper artefacts), 'ext' (extensions), or 'everything' (ids: "+idList()+")")
-		scale      = fs.String("scale", "paper", "paper (radix-256) or quick (radix-64)")
-		seed       = fs.Int64("seed", 1, "random seed for workloads and heuristics")
-		workers    = fs.Int("workers", 4, "sweep worker count (each worker runs one unit at a time)")
-		cacheDir   = fs.String("cache-dir", "", "persistent artifact cache directory")
-		configPath = fs.String("config", "", "JSON runner config file; explicitly-set flags override it")
-		addrs      = fs.String("addr", "", "comma-separated backend base URLs: run units remotely via POST /v1/bench instead of in-process")
-		storeURL   = fs.String("artifact-store", "", "remote artifact store base URL (a backend running -artifact-serve)")
-		faultStr   = fs.String("fault-scales", "", "comma-separated fault-rate multipliers to sweep as extra units (local mode only)")
-		faultBench = fs.String("fault-bench", "syn_uniform", "workload for -fault-scales")
-		faultN     = fs.Int("fault-n", 16, "crossbar radix for -fault-scales")
-		timeoutMS  = fs.Int64("timeout-ms", 300_000, "client-side per-unit timeout for remote units")
-	)
+func sweepCmd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("sweep", stderr)
+	which := fs.String("exp", "all", "experiment id, 'all' (paper artefacts), 'ext' (extensions), or 'everything' (ids: "+idList()+")")
+	fs.String("scale", "paper", "paper (radix-256) or quick (radix-64)")
+	fs.Int64("seed", 1, "random seed for workloads and heuristics")
+	workers := fs.Int("workers", 4, "sweep worker count (each worker runs one unit at a time)")
+	fs.String("cache-dir", "", "persistent artifact cache directory")
+	configPath := fs.String("config", "", "JSON runner config file; explicitly-set flags override it")
+	addrs := fs.String("addr", "", "comma-separated backend base URLs: run units remotely via POST /v1/bench instead of in-process")
+	storeURL := fs.String("artifact-store", "", "remote artifact store base URL (a backend running -artifact-serve)")
+	faultStr := fs.String("fault-scales", "", "comma-separated fault-rate multipliers to sweep as extra units (local mode only)")
+	faultBench := fs.String("fault-bench", "syn_uniform", "workload for -fault-scales")
+	faultN := fs.Int("fault-n", 16, "crossbar radix for -fault-scales")
+	timeoutMS := fs.Int64("timeout-ms", 300_000, "client-side per-unit timeout for remote units")
 	tf := addTelemetryFlags(fs)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	entries, err := pickEntries(*which)
 	if err != nil {
-		fail("sweep", err)
+		return err
 	}
 	var faultScales []float64
 	if *faultStr != "" {
-		faultScales, err = parseScales(*faultStr)
-		if err != nil {
-			fail("sweep", err)
+		if faultScales, err = parseScales(*faultStr); err != nil {
+			return err
 		}
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	startPprof("sweep", *tf.pprofAddr)
-	begin := time.Now()
+	sw := sweep{entries: entries, workers: *workers, tf: tf, stdout: stdout, stderr: stderr}
+	startPprof(stderr, "sweep", *tf.pprofAddr)
+	sw.begin = time.Now()
 
 	if *addrs != "" {
 		if len(faultScales) > 0 {
-			fail("sweep", fmt.Errorf("-fault-scales needs local execution; drop -addr"))
+			return fmt.Errorf("-fault-scales needs local execution; drop -addr")
 		}
-		sweepRemote(ctx, entries, splitList(*addrs), *storeURL, *workers,
-			time.Duration(*timeoutMS)*time.Millisecond, tf, begin)
-		return
+		return sw.remote(ctx, splitList(*addrs), *storeURL, time.Duration(*timeoutMS)*time.Millisecond)
 	}
-	sweepLocal(ctx, entries, faultScales, *faultBench, *faultN,
-		sweepRunnerConfig(*configPath, fs, *scale, *seed, *cacheDir, *storeURL),
-		*workers, tf, begin)
-}
-
-// sweepRunnerConfig resolves the runner config the same way benchCmd
-// does: config file first, explicitly-set flags override.
-func sweepRunnerConfig(configPath string, fs *flag.FlagSet, scale string, seed int64, cacheDir, storeURL string) runner.Config {
-	cfg, err := loadBase(configPath)
+	// -workers sizes the sweep pool here, not the runner's.
+	cfg, err := runnerConfig(fs, *configPath, "workers")
 	if err != nil {
-		fail("sweep", err)
+		return err
 	}
 	cfg.FailFast = true
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "scale":
-			cfg.Scale = scale
-			cfg.Options = nil
-		case "seed":
-			cfg.Seed = seed
-		case "cache-dir":
-			cfg.CacheDir = cacheDir
-		}
-	})
-	if storeURL != "" {
-		remote := fleet.NewRemote(storeURL)
-		warnIfUnreachable("sweep", remote)
+	if *storeURL != "" {
+		remote := fleet.NewRemote(*storeURL)
+		warnIfUnreachable(stderr, "sweep", remote)
 		cfg.Store = remote
 	}
-	return cfg
+	return sw.local(ctx, cfg, faultScales, *faultBench, *faultN)
 }
 
-// sweepLocal runs every unit in-process over one shared runner, so
-// units share its artifact store and in-process memoisation exactly
-// like a single-process bench run.
-func sweepLocal(ctx context.Context, entries []exp.Entry, faultScales []float64,
-	faultBench string, faultN int, cfg runner.Config, workers int, tf *telemetryFlags, begin time.Time) {
+// sweep is one coordinator run: the entries to shard, the pool width,
+// and where its tables, progress and telemetry go.
+type sweep struct {
+	entries        []exp.Entry
+	workers        int
+	tf             *telemetryFlags
+	stdout, stderr io.Writer
+	begin          time.Time
+}
+
+// local runs every unit in-process over one shared runner, so units
+// share its artifact store and in-process memoisation exactly like a
+// single-process bench run.
+func (sw sweep) local(ctx context.Context, cfg runner.Config, faultScales []float64, faultBench string, faultN int) error {
 	r, err := runner.New(cfg)
 	if err != nil {
-		fail("sweep", err)
+		return err
 	}
 	fleet.RegisterMetrics(r.Telemetry())
 	if err := r.Precompute(ctx); err != nil {
-		fail("sweep", err)
+		return err
 	}
 
-	units := fleet.EntryUnits(r, entries)
+	units := fleet.EntryUnits(r, sw.entries)
 	var fc runner.FaultConfig
 	var faultShards []*runner.FaultSweepResult
 	if len(faultScales) > 0 {
@@ -126,119 +110,120 @@ func sweepLocal(ctx context.Context, entries []exp.Entry, faultScales []float64,
 		faultShards = make([]*runner.FaultSweepResult, len(fc.Scales))
 		units = append(units, fleet.FaultUnits(r, fc, faultShards)...)
 	}
-	fmt.Fprintf(os.Stderr, "mnoc sweep: mode=local radix=%d seed=%d units=%d workers=%d\n",
-		r.Options().N, r.Options().Seed, len(units), workers)
+	fmt.Fprintf(sw.stderr, "mnoc sweep: mode=local radix=%d seed=%d units=%d workers=%d\n",
+		r.Options().N, r.Options().Seed, len(units), sw.workers)
 
-	outs, err := fleet.RunUnits(ctx, units, workers, r.Telemetry())
+	outs, err := fleet.RunUnits(ctx, units, sw.workers, r.Telemetry())
 	if err != nil {
-		fail("sweep", err)
+		return err
 	}
 	merged := fleet.Merge(outs)
-	if _, err := os.Stdout.Write(merged); err != nil {
-		fail("sweep", err)
+	if _, err := sw.stdout.Write(merged); err != nil {
+		return err
 	}
 	if len(faultScales) > 0 {
 		res, err := fleet.MergeFaultResults(fc, faultShards)
 		if err != nil {
-			fail("sweep", err)
+			return err
 		}
-		if err := res.Render(os.Stdout, false); err != nil {
-			fail("sweep", err)
+		if err := res.Render(sw.stdout, false); err != nil {
+			return err
 		}
 	}
-	storeSweepArtifact(r.Store(), entries, faultScales, r.Options().N, r.Options().Seed, merged)
-	finishSweep(r.Telemetry(), r.Tracer(), tf, map[string]any{
+	sw.storeArtifact(r.Store(), faultScales, r.Options().N, r.Options().Seed, merged)
+	if err := sw.finish(r.Telemetry(), r.Tracer(), map[string]any{
 		"subcommand": "sweep", "mode": "local", "radix": r.Options().N,
-		"seed": r.Options().Seed, "units": len(units), "workers": workers,
-		"wall_ms": time.Since(begin).Milliseconds(),
-	})
-	fmt.Fprintln(os.Stderr, "mnoc sweep:", r.Summary())
+		"seed": r.Options().Seed, "units": len(units), "workers": sw.workers,
+		"wall_ms": time.Since(sw.begin).Milliseconds(),
+	}); err != nil {
+		return err
+	}
+	fmt.Fprintln(sw.stderr, "mnoc sweep:", r.Summary())
+	return nil
 }
 
-// sweepRemote shards the entries across live backends; each unit POSTs
+// remote shards the entries across live backends; each unit POSTs
 // /v1/bench and renders the returned tables locally, so the merged
 // bytes match the local path exactly.
-func sweepRemote(ctx context.Context, entries []exp.Entry, endpoints []string,
-	storeURL string, workers int, timeout time.Duration, tf *telemetryFlags, begin time.Time) {
+func (sw sweep) remote(ctx context.Context, endpoints []string, storeURL string, timeout time.Duration) error {
 	if len(endpoints) == 0 {
-		fail("sweep", fmt.Errorf("-addr parsed to an empty endpoint list"))
+		return fmt.Errorf("-addr parsed to an empty endpoint list")
 	}
-	ids := make([]string, len(entries))
-	for i, e := range entries {
-		ids[i] = e.ID
-	}
+	ids := entryIDs(sw.entries)
 	reg := telemetry.NewRegistry()
 	fleet.RegisterMetrics(reg)
-	fmt.Fprintf(os.Stderr, "mnoc sweep: mode=remote endpoints=%d units=%d workers=%d\n",
-		len(endpoints), len(ids), workers)
+	fmt.Fprintf(sw.stderr, "mnoc sweep: mode=remote endpoints=%d units=%d workers=%d\n",
+		len(endpoints), len(ids), sw.workers)
 	for _, ep := range endpoints {
-		fmt.Fprintf(os.Stderr, "mnoc sweep:   endpoint %s\n", ep)
+		fmt.Fprintf(sw.stderr, "mnoc sweep:   endpoint %s\n", ep)
 	}
 
-	outs, err := fleet.RunUnits(ctx, fleet.RemoteEntryUnits(ids, endpoints, timeout), workers, reg)
+	outs, err := fleet.RunUnits(ctx, fleet.RemoteEntryUnits(ids, endpoints, timeout), sw.workers, reg)
 	if err != nil {
-		fail("sweep", err)
+		return err
 	}
 	merged := fleet.Merge(outs)
-	if _, err := os.Stdout.Write(merged); err != nil {
-		fail("sweep", err)
+	if _, err := sw.stdout.Write(merged); err != nil {
+		return err
 	}
 	if storeURL != "" {
 		remote := fleet.NewRemote(storeURL)
-		warnIfUnreachable("sweep", remote)
+		warnIfUnreachable(sw.stderr, "sweep", remote)
 		remote.Instrument(reg)
-		storeSweepArtifact(remote, entries, nil, 0, 0, merged)
+		sw.storeArtifact(remote, nil, 0, 0, merged)
 	}
-	finishSweep(reg, telemetry.NewTracer(1), tf, map[string]any{
+	return sw.finish(reg, telemetry.NewTracer(1), map[string]any{
 		"subcommand": "sweep", "mode": "remote", "endpoints": len(endpoints),
-		"units": len(ids), "workers": workers,
-		"wall_ms": time.Since(begin).Milliseconds(),
+		"units": len(ids), "workers": sw.workers,
+		"wall_ms": time.Since(sw.begin).Milliseconds(),
 	})
 }
 
-// storeSweepArtifact writes the merged sweep output as one
-// content-addressed artifact and reports its key, so a fleet's sweep
-// results are fetchable by content from the shared store.
-func storeSweepArtifact(store artifact.Store, entries []exp.Entry, faultScales []float64, n int, seed int64, merged []byte) {
+func entryIDs(entries []exp.Entry) []string {
 	ids := make([]string, len(entries))
 	for i, e := range entries {
 		ids[i] = e.ID
 	}
+	return ids
+}
+
+// storeArtifact writes the merged sweep output as one content-addressed
+// artifact and reports its key, so a fleet's sweep results are
+// fetchable by content from the shared store.
+func (sw sweep) storeArtifact(store artifact.Store, faultScales []float64, n int, seed int64, merged []byte) {
 	key := artifact.NewKey(artifact.KindSweep, artifact.VersionSweep).
-		Str("ids", strings.Join(ids, ",")).
+		Str("ids", strings.Join(entryIDs(sw.entries), ",")).
 		Int("n", n).
 		Int64("seed", seed).
 		Floats("fault_scales", faultScales).
 		Sum()
 	if err := store.Put(key, artifact.EncodeSweep(merged)); err != nil {
-		fmt.Fprintln(os.Stderr, "mnoc sweep: storing merged artifact:", err)
+		fmt.Fprintln(sw.stderr, "mnoc sweep: storing merged artifact:", err)
 		return
 	}
 	where := "memory"
 	if loc, ok := artifact.Unwrap(store).(artifact.Locator); ok {
 		where = loc.Location()
 	}
-	fmt.Fprintf(os.Stderr, "mnoc sweep: merged artifact %s (%s)\n", key, where)
+	fmt.Fprintf(sw.stderr, "mnoc sweep: merged artifact %s (%s)\n", key, where)
 }
 
-// finishSweep reports the work-stealing counters and writes the
-// optional telemetry outputs.
-func finishSweep(reg *telemetry.Registry, tracer *telemetry.Tracer, tf *telemetryFlags, meta map[string]any) {
+// finish reports the work-stealing counters and writes the optional
+// telemetry outputs.
+func (sw sweep) finish(reg *telemetry.Registry, tracer *telemetry.Tracer, meta map[string]any) error {
 	snap := reg.Snapshot()
-	fmt.Fprintf(os.Stderr, "mnoc sweep: units=%d steals=%d\n",
+	fmt.Fprintf(sw.stderr, "mnoc sweep: units=%d steals=%d\n",
 		snap.Counters[fleet.MetricSweepUnits], snap.Counters[fleet.MetricSweepSteals])
-	if err := writeTelemetry(reg, tracer, *tf.metricsOut, *tf.traceOut, meta); err != nil {
-		fail("sweep", err)
-	}
+	return writeTelemetry(reg, tracer, *sw.tf.metricsOut, *sw.tf.traceOut, meta)
 }
 
 // warnIfUnreachable pings the remote artifact store at startup: a
 // typoed URL should warn loudly instead of silently degrading every
 // read to a miss.
-func warnIfUnreachable(sub string, remote *fleet.Remote) {
+func warnIfUnreachable(stderr io.Writer, sub string, remote *fleet.Remote) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := remote.Ping(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "mnoc %s: warning: %v (store degrades to miss-only)\n", sub, err)
+		fmt.Fprintf(stderr, "mnoc %s: warning: %v (store degrades to miss-only)\n", sub, err)
 	}
 }

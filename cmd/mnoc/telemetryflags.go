@@ -3,17 +3,17 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof" // registers the /debug/pprof handlers on -pprof
-	"os"
 
 	"mnoc/internal/runner"
 	"mnoc/internal/telemetry"
 )
 
 // telemetryFlags is the observability flag trio shared by the bench,
-// sim and fault subcommands: where to write the metrics report and the
-// span trace, and whether to serve pprof while running.
+// sim, fault, sweep and replay subcommands: where to write the metrics
+// report and the span trace, and whether to serve pprof while running.
 type telemetryFlags struct {
 	metricsOut *string
 	traceOut   *string
@@ -35,13 +35,13 @@ func addTelemetryFlags(fs *flag.FlagSet) *telemetryFlags {
 // startPprof serves the pprof handlers in the background when addr is
 // non-empty. A bind failure is reported but never kills the run: the
 // profile server is an observer, not a participant.
-func startPprof(sub, addr string) {
+func startPprof(stderr io.Writer, sub, addr string) {
 	if addr == "" {
 		return
 	}
 	go func() {
 		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "mnoc %s: pprof server: %v\n", sub, err)
+			fmt.Fprintf(stderr, "mnoc %s: pprof server: %v\n", sub, err)
 		}
 	}()
 }
@@ -51,7 +51,8 @@ func startPprof(sub, addr string) {
 func writeTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer,
 	metricsOut, traceOut string, meta map[string]any) error {
 	if metricsOut != "" {
-		if err := writeReportFile(metricsOut, telemetry.Report{Meta: meta, Metrics: reg.Snapshot()}); err != nil {
+		rep := telemetry.Report{Meta: meta, Metrics: reg.Snapshot()}
+		if err := writeFile(metricsOut, rep.WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -61,17 +62,4 @@ func writeTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer,
 		}
 	}
 	return nil
-}
-
-// writeReportFile writes one metrics report as JSON to path.
-func writeReportFile(path string, rep telemetry.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

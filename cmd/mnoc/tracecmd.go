@@ -1,9 +1,9 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"os"
+	"io"
 
 	"mnoc/internal/noc"
 	"mnoc/internal/stats"
@@ -11,26 +11,25 @@ import (
 	"mnoc/internal/workload"
 )
 
+const traceUsage = errUsage("usage: mnoc trace gen|info [flags]")
+
 // traceCmd generates synthetic SPLASH-2 packet traces and inspects
 // existing trace files.
-func traceCmd(args []string) {
+func traceCmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	if len(args) < 1 {
-		fmt.Fprintln(os.Stderr, "usage: mnoc trace gen|info [flags]")
-		os.Exit(2)
+		return traceUsage
 	}
 	switch args[0] {
 	case "gen":
-		traceGen(args[1:])
+		return traceGen(args[1:], stdout, stderr)
 	case "info":
-		traceInfo(args[1:])
-	default:
-		fmt.Fprintln(os.Stderr, "usage: mnoc trace gen|info [flags]")
-		os.Exit(2)
+		return traceInfo(args[1:], stdout, stderr)
 	}
+	return traceUsage
 }
 
-func traceGen(args []string) {
-	fs := flag.NewFlagSet("mnoc trace gen", flag.ExitOnError)
+func traceGen(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("trace gen", stderr)
 	var (
 		bench  = fs.String("bench", "fft", "benchmark name")
 		n      = fs.Int("n", 64, "node count")
@@ -39,93 +38,74 @@ func traceGen(args []string) {
 		seed   = fs.Int64("seed", 1, "random seed")
 		out    = fs.String("o", "", "output file (default stdout)")
 	)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	b, err := workload.Resolve(*bench)
 	if err != nil {
-		fail("trace", err)
+		return err
 	}
 	tr, err := b.Trace(*n, *cycles, *flits, *seed)
 	if err != nil {
-		fail("trace", err)
+		return err
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail("trace", err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fail("trace", err)
-			}
-		}()
-		w = f
+	if *out == "" {
+		err = tr.Write(stdout)
+	} else {
+		err = writeFile(*out, tr.Write)
 	}
-	if err := tr.Write(w); err != nil {
-		fail("trace", err)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "mnoc trace: wrote %d packets (%s, n=%d, %d cycles)\n",
+	fmt.Fprintf(stderr, "mnoc trace: wrote %d packets (%s, n=%d, %d cycles)\n",
 		len(tr.Packets), *bench, *n, *cycles)
+	return nil
 }
 
-func traceInfo(args []string) {
-	fs := flag.NewFlagSet("mnoc trace info", flag.ExitOnError)
+func traceInfo(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("trace info", stderr)
 	var (
 		in      = fs.String("i", "", "input trace file (required)")
 		heatmap = fs.Bool("heatmap", false, "print the traffic matrix as an ASCII heatmap")
-		replay  = fs.String("replay", "", "replay the trace on a timing model (mnoc, rnoc, cmnoc, mwsr) and print latency stats")
+		replay  = fs.String("replay", "", "replay the trace on a timing model ("+networkNames+") and print latency stats")
 	)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if *in == "" {
-		fail("trace", fmt.Errorf("info: -i is required"))
+		return fmt.Errorf("info: -i is required")
 	}
-	f, err := os.Open(*in)
+	tr, err := readFile(*in, trace.Read)
 	if err != nil {
-		fail("trace", err)
-	}
-	defer f.Close()
-	tr, err := trace.Read(f)
-	if err != nil {
-		fail("trace", err)
+		return err
 	}
 	m := tr.Matrix()
-	fmt.Printf("nodes:        %d\n", tr.N)
-	fmt.Printf("cycles:       %d\n", tr.Cycles)
-	fmt.Printf("packets:      %d\n", len(tr.Packets))
-	fmt.Printf("flits:        %.0f\n", tr.TotalFlits())
-	fmt.Printf("flits/cycle:  %.4f\n", tr.TotalFlits()/float64(tr.Cycles))
-	fmt.Printf("avg distance: %.1f\n", m.AvgDistance())
+	fmt.Fprintf(stdout, "nodes:        %d\n", tr.N)
+	fmt.Fprintf(stdout, "cycles:       %d\n", tr.Cycles)
+	fmt.Fprintf(stdout, "packets:      %d\n", len(tr.Packets))
+	fmt.Fprintf(stdout, "flits:        %.0f\n", tr.TotalFlits())
+	fmt.Fprintf(stdout, "flits/cycle:  %.4f\n", tr.TotalFlits()/float64(tr.Cycles))
+	fmt.Fprintf(stdout, "avg distance: %.1f\n", m.AvgDistance())
 	if *heatmap {
-		fmt.Println("traffic matrix (dark = heavy):")
-		if err := stats.Heatmap(os.Stdout, m.Counts, 32); err != nil {
-			fail("trace", err)
+		fmt.Fprintln(stdout, "traffic matrix (dark = heavy):")
+		if err := stats.Heatmap(stdout, m.Counts, 32); err != nil {
+			return err
 		}
 	}
-	if *replay != "" {
-		var net noc.Network
-		var err error
-		switch *replay {
-		case "mnoc":
-			net, err = noc.NewMNoC(tr.N)
-		case "rnoc":
-			net, err = noc.NewRNoC(tr.N, 4)
-		case "cmnoc":
-			net, err = noc.NewCMNoC(tr.N, 4)
-		case "mwsr":
-			net, err = noc.NewMWSR(tr.N)
-		default:
-			err = fmt.Errorf("unknown timing model %q", *replay)
-		}
-		if err != nil {
-			fail("trace", err)
-		}
-		st, err := noc.Replay(net, tr)
-		if err != nil {
-			fail("trace", err)
-		}
-		fmt.Printf("replay on %s:\n", st.NetworkName)
-		fmt.Printf("  avg latency: %.2f cycles\n", st.AvgLatency)
-		fmt.Printf("  p50/p99/max: %d / %d / %d cycles\n", st.P50Latency, st.P99Latency, st.MaxLatency)
-		fmt.Printf("  finish:      cycle %d\n", st.FinishCycle)
+	if *replay == "" {
+		return nil
 	}
+	net, err := newNetwork(*replay, tr.N)
+	if err != nil {
+		return err
+	}
+	st, err := noc.Replay(net, tr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "replay on %s:\n", st.NetworkName)
+	fmt.Fprintf(stdout, "  avg latency: %.2f cycles\n", st.AvgLatency)
+	fmt.Fprintf(stdout, "  p50/p99/max: %d / %d / %d cycles\n", st.P50Latency, st.P99Latency, st.MaxLatency)
+	fmt.Fprintf(stdout, "  finish:      cycle %d\n", st.FinishCycle)
+	return nil
 }

@@ -1,6 +1,7 @@
-// Integration tests that build and run every example and command-line
-// tool end-to-end via the Go toolchain, keeping them from rotting.
-// They are skipped under -short.
+// Integration tests that build and run every example end-to-end via the
+// Go toolchain, keeping them from rotting. They are skipped under
+// -short. The mnoc subcommands are exercised in process by
+// cmd/mnoc/main_test.go.
 package main_test
 
 import (
@@ -69,54 +70,4 @@ func TestQuickstartSavesRoughlyHalf(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestCLIToolsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI tools are slow; skipped with -short")
-	}
-	tmp := t.TempDir()
-	trc := filepath.Join(tmp, "fft.trc")
-
-	t.Run("trace-gen-info", func(t *testing.T) {
-		runGo(t, "run", "./cmd/mnoc", "trace", "gen", "-bench", "fft", "-n", "32",
-			"-cycles", "20000", "-flits", "5000", "-o", trc)
-		out := runGo(t, "run", "./cmd/mnoc", "trace", "info", "-i", trc, "-heatmap")
-		for _, want := range []string{"nodes:", "packets:", "avg distance:"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("info output missing %q:\n%s", want, out)
-			}
-		}
-	})
-	t.Run("power", func(t *testing.T) {
-		out := runGo(t, "run", "./cmd/mnoc", "power", "-i", trc, "-kind", "comm2")
-		if !strings.Contains(out, "reduction vs base mNoC") {
-			t.Errorf("power output incomplete:\n%s", out)
-		}
-	})
-	t.Run("sim", func(t *testing.T) {
-		out := runGo(t, "run", "./cmd/mnoc", "sim", "-bench", "barnes", "-n", "16", "-accesses", "100")
-		if !strings.Contains(out, "runtime:") || !strings.Contains(out, "directory:") {
-			t.Errorf("sim output incomplete:\n%s", out)
-		}
-	})
-	t.Run("topo", func(t *testing.T) {
-		out := runGo(t, "run", "./cmd/mnoc", "topo", "-n", "16", "-bench", "fft", "-kind", "dist2", "-render", "8")
-		if !strings.Contains(out, "adjacency matrix") {
-			t.Errorf("topo output incomplete:\n%s", out)
-		}
-	})
-	t.Run("bench-quick-single", func(t *testing.T) {
-		out := runGo(t, "run", "./cmd/mnoc", "bench", "-scale", "quick", "-exp", "fig3")
-		if !strings.Contains(out, "fig3") {
-			t.Errorf("bench output incomplete:\n%s", out)
-		}
-	})
-	t.Run("fault-sweep", func(t *testing.T) {
-		out := runGo(t, "run", "./cmd/mnoc", "fault", "-n", "16", "-cycles", "20000",
-			"-flits", "1000", "-scales", "0,1")
-		if !strings.Contains(out, "scale 1.00:") || !strings.Contains(out, "rec-frac") {
-			t.Errorf("fault output incomplete:\n%s", out)
-		}
-	})
 }
