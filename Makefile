@@ -121,11 +121,13 @@ metrics-check:
 		> /tmp/mnoc_adapt_metrics_names.txt
 	diff -u testdata/golden/metrics_names_adapt.txt /tmp/mnoc_adapt_metrics_names.txt
 
-# Short seeded fuzz passes (seven targets, 10 s each) over the
+# Short seeded fuzz passes (eight targets, 10 s each) over the
 # text-format parsers (including the mnoc-adapt-trace v1 reader behind
-# replay -trace and serve -adapt-trace), the telemetry exporters, and
-# the serve-path request decoder (every body is either accepted or
-# refused with a 400 JSON error envelope). CI runs this.
+# replay -trace and serve -adapt-trace), the telemetry exporters, the
+# serve-path request decoder (every body is either accepted or refused
+# with a 400 JSON error envelope), and the MART artifact envelope and
+# codecs (disk caches and PUT /artifacts/<key> bytes decode or error,
+# never panic). CI runs this.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDBLinearRoundTrip -fuzztime=10s ./internal/phys
 	$(GO) test -run=^$$ -fuzz=FuzzLossTransmissionRoundTrip -fuzztime=10s ./internal/phys
@@ -134,6 +136,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=10s ./internal/drivetable
 	$(GO) test -run=^$$ -fuzz=FuzzExporters -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePost -fuzztime=10s ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzOpenEnvelope -fuzztime=10s ./internal/runner/artifact
 
 # ---- Performance baseline (docs/BENCH.md) ----------------------------
 

@@ -1,5 +1,6 @@
 // Package goroleak enforces that goroutines started in the long-lived
-// service packages (server, fleet, adapt) have a cancellation path.
+// service packages (server, fleet, adapt, and flight, the coalescing
+// group they and exp.Context share) have a cancellation path.
 // Those processes run for the life of a deployment; a goroutine that
 // never observes shutdown accumulates across config reloads and drains
 // until the process is OOM-killed mid-sweep.
@@ -31,7 +32,7 @@ import (
 // Analyzer is the goroutine-cancellation rule.
 var Analyzer = &analysis.Analyzer{
 	Name: "goroleak",
-	Doc: "goroutines in internal/server, internal/fleet and internal/adapt must have " +
+	Doc: "goroutines in internal/server, internal/fleet, internal/adapt and internal/flight must have " +
 		"a cancellation path (receive, select, ctx.Done/Err, or a cancel-aware callee per module facts) " +
 		"or an //mnoclint:allow explaining how they terminate",
 	Run: run,
@@ -43,6 +44,7 @@ var scopedPackages = map[string]bool{
 	"server": true,
 	"fleet":  true,
 	"adapt":  true,
+	"flight": true,
 }
 
 func run(pass *analysis.Pass) error {

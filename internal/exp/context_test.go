@@ -102,6 +102,77 @@ func TestWarmStoreSkipsSolves(t *testing.T) {
 	}
 }
 
+// gateStore holds every Get of one key until release is closed, so a
+// test can line callers up behind a fetch/solve that has started.
+type gateStore struct {
+	artifact.Store
+	key     artifact.Key
+	once    sync.Once
+	entered chan struct{} // closed by the first Get of key
+	release chan struct{}
+}
+
+func newGateStore() *gateStore {
+	return &gateStore{Store: artifact.NewMemory(), entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (s *gateStore) Get(key artifact.Key) ([]byte, bool, error) {
+	if key == s.key {
+		s.once.Do(func() { close(s.entered) })
+		<-s.release
+	}
+	return s.Store.Get(key)
+}
+
+// TestCancelledLeaderKeepsFollowers: the caller that starts the
+// 4M_G_S12 network solve is cancelled while a second caller waits on
+// the same solve. The leader gets its cancellation; the live follower
+// still gets the network.
+func TestCancelledLeaderKeepsFollowers(t *testing.T) {
+	store := newGateStore()
+	c, err := NewContextWithStore(small(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.key = c.key(artifact.KindNetwork, artifact.VersionNetwork).Str("design", "4M_G_S12").Sum()
+
+	ctxA, cancelA := context.WithCancel(bg)
+	defer cancelA()
+	leader := make(chan error, 1)
+	go func() {
+		_, err := c.DesignNetwork(ctxA, DesignComm4)
+		leader <- err
+	}()
+	<-store.entered // the leader's solve has started and is held at the store
+
+	type result struct {
+		net any
+		err error
+	}
+	follower := make(chan result, 1)
+	go func() {
+		n, err := c.DesignNetwork(bg, DesignComm4)
+		follower <- result{n, err}
+	}()
+	// Give the follower time to join the held solve. The verdict does
+	// not depend on it: a follower that arrives after the leader has
+	// left starts its own solve and must succeed just the same.
+	time.Sleep(50 * time.Millisecond)
+	cancelA()
+	close(store.release)
+
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled leader got %v, want context.Canceled", err)
+	}
+	r := <-follower
+	if r.err != nil {
+		t.Fatalf("live follower of a cancelled leader failed: %v", r.err)
+	}
+	if r.net == nil {
+		t.Fatal("live follower got a nil network")
+	}
+}
+
 // TestPerformanceAllConcurrentEntries runs the four entries that need
 // every Performance sim at once, as the runner pool may, and checks
 // that each sim still runs exactly once and that the tables equal a

@@ -30,21 +30,36 @@ func DesignKinds() []string {
 	return kinds
 }
 
+// designKeys maps each solved design kind to its network's cache key.
+var designKeys = map[string]string{
+	DesignDist2: "2M_N_U", DesignDist4: "4M_N_U", DesignCluster2: "2M_C_U",
+	DesignComm2: "2M_G_S12", DesignComm4: "4M_G_S12",
+}
+
 // DesignNetwork builds (or loads from the artifact cache) the named
 // power-topology design at the context's scale. The kind names reuse
 // the figure experiments' cache keys, so a network solved here is a
 // warm hit for `mnoc bench` and vice versa.
 func (c *Context) DesignNetwork(ctx context.Context, kind string) (*power.MNoC, error) {
+	if kind == DesignBase {
+		return c.base, nil
+	}
+	key, ok := designKeys[kind]
+	if !ok {
+		return nil, fmt.Errorf("exp: unknown design kind %q (want one of %v)", kind, DesignKinds())
+	}
+	// A warm network returns here, before the builders below allocate.
+	if net, ok := memoized[*power.MNoC](ctx, c, c.networkKey(key)); ok {
+		return net, nil
+	}
 	n := c.Opt.N
 	switch kind {
-	case DesignBase:
-		return c.base, nil
 	case DesignDist2:
-		return distanceNet(ctx, c, "2M_N_U", halves(n), power.UniformWeighting(2))
+		return distanceNet(ctx, c, key, halves(n), power.UniformWeighting(2))
 	case DesignDist4:
-		return distanceNet(ctx, c, "4M_N_U", quarters(n), power.UniformWeighting(4))
+		return distanceNet(ctx, c, key, quarters(n), power.UniformWeighting(4))
 	case DesignCluster2:
-		return c.network(ctx, "2M_C_U", func() (*power.MNoC, error) {
+		return c.network(ctx, key, func(context.Context) (*power.MNoC, error) {
 			t, err := topo.Clustered(n, 4)
 			if err != nil {
 				return nil, err
@@ -52,21 +67,9 @@ func (c *Context) DesignNetwork(ctx context.Context, kind string) (*power.MNoC, 
 			return power.NewMNoC(c.Cfg, t, power.UniformWeighting(2))
 		})
 	case DesignComm2:
-		return c.network(ctx, "2M_G_S12", func() (*power.MNoC, error) {
-			s12, err := c.SampledMatrix(ctx, workload.Names())
-			if err != nil {
-				return nil, err
-			}
-			t, err := topo.CommAware2Mode(s12, c.Cfg.Splitter, "2M_G_S12")
-			if err != nil {
-				return nil, err
-			}
-			return power.NewMNoC(c.Cfg, t, power.SampledWeighting(s12))
-		})
-	case DesignComm4:
-		return c.bestPTNetwork(ctx)
+		return commAwareNet(ctx, c, key, 2, workload.Names())
 	}
-	return nil, fmt.Errorf("exp: unknown design kind %q (want one of %v)", kind, DesignKinds())
+	return commAwareNet(ctx, c, key, 4, workload.Names())
 }
 
 // EvaluateDesign solves the named design and evaluates it on one

@@ -112,7 +112,7 @@ func evenPartition(n, modes int) []int {
 // conservative end of this sweep.
 func TrimSweep(ctx context.Context, c *Context) (*Table, error) {
 	n := c.Opt.N
-	pt, err := c.bestPTNetwork(ctx)
+	pt, err := c.DesignNetwork(ctx, DesignComm4)
 	if err != nil {
 		return nil, err
 	}

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mnoc/internal/flight"
 	"mnoc/internal/mapping"
 	"mnoc/internal/power"
 	"mnoc/internal/runner/artifact"
@@ -170,9 +171,12 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // default store is in-memory — the per-run memoisation Context always
 // had — and the runner swaps in a disk store (--cache-dir) so warm
 // re-runs across processes skip every solve. A decoded-value memo and a
-// per-key singleflight sit in front of the store, so each artefact is
+// flight.Group sit in front of the store, so each artefact is
 // fetched/solved at most once per process even under the runner's
-// parallel scheduling.
+// parallel scheduling. The fetch/solve runs detached from the caller
+// that started it: a cancelled caller leaves, the callers still
+// waiting get the artefact, and the work stops only when every caller
+// has left.
 type Context struct {
 	Opt Options
 	Cfg power.Config
@@ -180,9 +184,9 @@ type Context struct {
 	store  artifact.Store
 	cfgSig string // device-config fingerprint, folded into every key
 
-	mu       sync.Mutex
-	memo     map[artifact.Key]any
-	inflight map[artifact.Key]*flight
+	mu      sync.Mutex
+	memo    map[artifact.Key]any
+	flights *flight.Group
 
 	base    *power.MNoC
 	benches []workload.Benchmark
@@ -193,14 +197,6 @@ type Context struct {
 	tracer *telemetry.Tracer
 
 	solveShapes, solveQAP, solveNetworks, solveSims atomic.Uint64
-}
-
-// flight tracks one in-progress artefact fetch/solve so concurrent
-// requesters wait instead of duplicating a minutes-long search.
-type flight struct {
-	done chan struct{}
-	val  any
-	err  error
 }
 
 // SolveCounts reports how many expensive artefacts a context actually
@@ -227,14 +223,14 @@ func NewContextWithStore(opt Options, store artifact.Store) (*Context, error) {
 		return nil, fmt.Errorf("exp: base mNoC for N=%d: %w", opt.N, err)
 	}
 	return &Context{
-		Opt:      opt,
-		Cfg:      cfg,
-		store:    store,
-		cfgSig:   artifact.Fingerprint(map[string]any{"cfg": cfg}),
-		memo:     make(map[artifact.Key]any),
-		inflight: make(map[artifact.Key]*flight),
-		base:     base,
-		benches:  workload.All(),
+		Opt:     opt,
+		Cfg:     cfg,
+		store:   store,
+		cfgSig:  artifact.Fingerprint(map[string]any{"cfg": cfg}),
+		memo:    make(map[artifact.Key]any),
+		flights: flight.New(nil),
+		base:    base,
+		benches: workload.All(),
 	}, nil
 }
 
@@ -287,75 +283,75 @@ func (c *Context) key(kind string, version int) *artifact.KeyBuilder {
 		Float("cycles", c.Opt.Cycles)
 }
 
-// artifactValue returns the decoded artefact for key. The lookup order
-// is memo → store → build; build runs at most once per key per process
-// (concurrent requesters wait on the flight), and its result is written
-// back to the store. build returns both the value and its encoded blob
-// so a fresh solve is not re-decoded.
+// memoized returns key's in-process value while ctx is live. Every
+// accessor calls it before building its solve closure: the closure
+// escapes to the flight goroutine, so checking first keeps a hit to a
+// map lookup under the lock, with no allocation and no goroutine.
+func memoized[T any](ctx context.Context, c *Context, key artifact.Key) (T, bool) {
+	c.mu.Lock()
+	v, ok := c.memo[key]
+	c.mu.Unlock()
+	if !ok || ctx.Err() != nil {
+		var zero T
+		return zero, false
+	}
+	return v.(T), true
+}
+
+// memoValue is the miss path behind memoized. It runs fn through the
+// flight group, so concurrent requesters share one computation, and
+// memoises the result on success.
 //
-// Cancellation semantics: a ctx that is already done fails fast before
-// any lookup, and a requester waiting on another goroutine's flight
-// stops waiting when its ctx fires — the flight itself completes and
-// still warms the memo/store for later requesters. The goroutine that
-// runs build checks ctx between pipeline stages (each nested accessor
-// re-enters artifactValue), so a cancelled solve stops at the next
+// Cancellation semantics: a ctx that is already done fails fast. ctx
+// bounds this caller's wait only: fn runs under the flight's context,
+// which is cancelled when the last waiter leaves, so a cancelled leader
+// never fails its followers. Build closures thread that flight context
+// into every nested accessor, so an abandoned solve stops at the next
 // stage boundary rather than running the full pipeline.
-func (c *Context) artifactValue(ctx context.Context, key artifact.Key,
-	decode func([]byte) (any, error),
-	build func() (any, []byte, error),
-) (any, error) {
+func (c *Context) memoValue(ctx context.Context, key artifact.Key, fn func(context.Context) (any, error)) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if v, ok := c.memo[key]; ok {
-		c.mu.Unlock()
-		return v, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.val, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	return c.flights.Do(ctx, string(key), func(fctx context.Context) (any, error) {
+		// A flight that finished between the caller's lookup and Do has
+		// already memoised the value; reuse it rather than rebuild.
+		if v, ok := memoized[any](fctx, c, key); ok {
+			return v, nil
 		}
-	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.mu.Unlock()
+		v, err := fn(fctx)
+		if err == nil {
+			c.mu.Lock()
+			c.memo[key] = v
+			c.mu.Unlock()
+		}
+		return v, err
+	})
+}
 
-	f.val, f.err = func() (any, error) {
-		blob, ok, err := c.store.Get(key)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			//mnoclint:allow determinism wall clock only feeds the artifact.decode_ms telemetry histogram, never table output
-			begin := time.Now()
-			v, err := decode(blob)
-			c.reg.Histogram("artifact.decode_ms", artifact.GetMSBuckets...).
-				Observe(float64(time.Since(begin)) / float64(time.Millisecond))
-			return v, err
-		}
-		v, blob, err := build()
-		if err != nil {
-			return nil, err
-		}
-		if err := c.store.Put(key, blob); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}()
-
-	c.mu.Lock()
-	if f.err == nil {
-		c.memo[key] = f.val
+// storedValue is memoValue over the artifact store: a memo miss loads
+// and decodes the artefact (timing the decode into artifact.decode_ms),
+// or builds it under the flight's context and writes it back.
+func storedValue[T any](ctx context.Context, c *Context, key artifact.Key,
+	decode func([]byte) (T, error),
+	build func(context.Context) (T, []byte, error),
+) (T, error) {
+	v, err := c.memoValue(ctx, key, func(ctx context.Context) (any, error) {
+		return artifact.GetOrBuild(c.store, key,
+			func(blob []byte) (T, error) {
+				//mnoclint:allow determinism wall clock only feeds the artifact.decode_ms telemetry histogram, never table output
+				begin := time.Now()
+				v, err := decode(blob)
+				c.reg.Histogram("artifact.decode_ms", artifact.GetMSBuckets...).
+					Observe(float64(time.Since(begin)) / float64(time.Millisecond))
+				return v, err
+			},
+			func() (T, []byte, error) { return build(ctx) })
+	})
+	if err != nil {
+		var zero T
+		return zero, err
 	}
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	close(f.done)
-	return f.val, f.err
+	return v.(T), nil
 }
 
 // Benchmarks returns the benchmark set in Table 4 order.
@@ -367,9 +363,11 @@ func (c *Context) Base() *power.MNoC { return c.base }
 // Shape returns the benchmark's calibrated thread-indexed traffic.
 func (c *Context) Shape(ctx context.Context, name string) (*trace.Matrix, error) {
 	key := c.key(artifact.KindMatrix, artifact.VersionMatrix).Str("bench", name).Sum()
-	v, err := c.artifactValue(ctx, key,
-		func(blob []byte) (any, error) { return artifact.DecodeMatrix(blob) },
-		func() (any, []byte, error) {
+	if m, ok := memoized[*trace.Matrix](ctx, c, key); ok {
+		return m, nil
+	}
+	return storedValue(ctx, c, key, artifact.DecodeMatrix,
+		func(context.Context) (*trace.Matrix, []byte, error) {
 			c.solveShapes.Add(1)
 			c.noteSolve("shapes")
 			defer c.tracer.StartSpan("exp", "solve.shape").Attr("bench", name).End()
@@ -387,19 +385,17 @@ func (c *Context) Shape(ctx context.Context, name string) (*trace.Matrix, error)
 			}
 			return m, artifact.EncodeMatrix(m), nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*trace.Matrix), nil
 }
 
 // QAPMapping returns the benchmark's taboo-search thread mapping
 // (solved once, then served from the artifact store).
 func (c *Context) QAPMapping(ctx context.Context, name string) (mapping.Assignment, error) {
 	key := c.key(artifact.KindAssignment, artifact.VersionAssignment).Str("bench", name).Sum()
-	v, err := c.artifactValue(ctx, key,
-		func(blob []byte) (any, error) { return artifact.DecodeAssignment(blob) },
-		func() (any, []byte, error) {
+	if a, ok := memoized[mapping.Assignment](ctx, c, key); ok {
+		return a, nil
+	}
+	return storedValue(ctx, c, key, artifact.DecodeAssignment,
+		func(ctx context.Context) (mapping.Assignment, []byte, error) {
 			m, err := c.Shape(ctx, name)
 			if err != nil {
 				return nil, nil, err
@@ -416,10 +412,6 @@ func (c *Context) QAPMapping(ctx context.Context, name string) (mapping.Assignme
 			})
 			return a, artifact.EncodeAssignment(a), nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	return v.(mapping.Assignment), nil
 }
 
 // Mapped returns the benchmark's calibrated traffic permuted by its QAP
@@ -428,60 +420,73 @@ func (c *Context) QAPMapping(ctx context.Context, name string) (mapping.Assignme
 // cached artefacts.
 func (c *Context) Mapped(ctx context.Context, name string) (*trace.Matrix, error) {
 	key := artifact.NewKey("mapped", 1).Str("bench", name).Sum()
-	c.mu.Lock()
-	if m, ok := c.memo[key]; ok {
-		c.mu.Unlock()
-		return m.(*trace.Matrix), nil
+	if m, ok := memoized[*trace.Matrix](ctx, c, key); ok {
+		return m, nil
 	}
-	c.mu.Unlock()
-	shape, err := c.Shape(ctx, name)
+	v, err := c.memoValue(ctx, key, func(ctx context.Context) (any, error) {
+		shape, err := c.Shape(ctx, name)
+		if err != nil {
+			return nil, err
+		}
+		asg, err := c.QAPMapping(ctx, name)
+		if err != nil {
+			return nil, err
+		}
+		m, err := shape.Permute(asg)
+		if err != nil {
+			return nil, fmt.Errorf("exp: permuting %s by its QAP mapping: %w", name, err)
+		}
+		return m, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	asg, err := c.QAPMapping(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	m, err := shape.Permute(asg)
-	if err != nil {
-		return nil, fmt.Errorf("exp: permuting %s by its QAP mapping: %w", name, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prior, ok := c.memo[key]; ok { // another goroutine won the race
-		return prior.(*trace.Matrix), nil
-	}
-	c.memo[key] = m
-	return m, nil
+	return v.(*trace.Matrix), nil
 }
 
 // SampledMatrix averages the normalised, QAP-mapped traffic of the given
-// benchmarks — the paper's S4/S12 profiling inputs (Section 5.4).
+// benchmarks — the paper's S4/S12 profiling inputs (Section 5.4). Like
+// Mapped it is memoised in-process, so every design weighted by the
+// same sample shares one matrix.
 func (c *Context) SampledMatrix(ctx context.Context, names []string) (*trace.Matrix, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("exp: empty sample set")
 	}
-	out := trace.NewMatrix(c.Opt.N)
-	for _, name := range names {
-		m, err := c.Mapped(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		if err := out.AddScaled(m.Normalized(), 1/float64(len(names))); err != nil {
-			return nil, fmt.Errorf("exp: accumulating sampled matrix for %s: %w", name, err)
-		}
+	key := artifact.NewKey("sampled", 1).Str("benches", strings.Join(names, ",")).Sum()
+	if m, ok := memoized[*trace.Matrix](ctx, c, key); ok {
+		return m, nil
 	}
-	return out, nil
+	v, err := c.memoValue(ctx, key, func(ctx context.Context) (any, error) {
+		out := trace.NewMatrix(c.Opt.N)
+		for _, name := range names {
+			m, err := c.Mapped(ctx, name)
+			if err != nil {
+				return nil, err
+			}
+			if err := out.AddScaled(m.Normalized(), 1/float64(len(names))); err != nil {
+				return nil, fmt.Errorf("exp: accumulating sampled matrix for %s: %w", name, err)
+			}
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*trace.Matrix), nil
 }
 
 // network caches splitter-designed networks. The string key names a
 // deterministic design point (e.g. "4M_G_S12"); combined with the
 // options and configuration fingerprint folded in by c.key it content-
 // addresses the solved design, so warm runs skip the splitter solves.
-func (c *Context) network(ctx context.Context, key string, build func() (*power.MNoC, error)) (*power.MNoC, error) {
-	akey := c.key(artifact.KindNetwork, artifact.VersionNetwork).Str("design", key).Sum()
-	v, err := c.artifactValue(ctx, akey,
-		func(blob []byte) (any, error) {
+// build receives the flight's context and must use it, not a caller's.
+func (c *Context) network(ctx context.Context, key string, build func(context.Context) (*power.MNoC, error)) (*power.MNoC, error) {
+	akey := c.networkKey(key)
+	if n, ok := memoized[*power.MNoC](ctx, c, akey); ok {
+		return n, nil
+	}
+	return storedValue(ctx, c, akey,
+		func(blob []byte) (*power.MNoC, error) {
 			n, err := artifact.DecodeNetwork(c.Cfg, blob)
 			if err != nil {
 				return nil, err
@@ -489,11 +494,11 @@ func (c *Context) network(ctx context.Context, key string, build func() (*power.
 			n.Instrument(c.reg)
 			return n, nil
 		},
-		func() (any, []byte, error) {
+		func(ctx context.Context) (*power.MNoC, []byte, error) {
 			c.solveNetworks.Add(1)
 			c.noteSolve("networks")
 			defer c.tracer.StartSpan("exp", "solve.network").Attr("design", key).End()
-			n, err := build()
+			n, err := build(ctx)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -504,10 +509,11 @@ func (c *Context) network(ctx context.Context, key string, build func() (*power.
 			n.Instrument(c.reg)
 			return n, blob, nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*power.MNoC), nil
+}
+
+// networkKey is the artifact key of the named design point.
+func (c *Context) networkKey(design string) artifact.Key {
+	return c.key(artifact.KindNetwork, artifact.VersionNetwork).Str("design", design).Sum()
 }
 
 // Precompute builds every benchmark's calibrated traffic and QAP

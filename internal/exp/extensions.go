@@ -284,7 +284,7 @@ func MWSRCompare(ctx context.Context, c *Context) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: mwsr: network model: %w", err)
 	}
-	pt, err := c.bestPTNetwork(ctx)
+	pt, err := c.DesignNetwork(ctx, DesignComm4)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,6 @@ import (
 	"mnoc/internal/runner/artifact"
 	"mnoc/internal/sim"
 	"mnoc/internal/splitter"
-	"mnoc/internal/topo"
 	"mnoc/internal/waveguide"
 	"mnoc/internal/workload"
 )
@@ -37,26 +36,26 @@ func (c *Context) Performance(ctx context.Context, bench string) (mnocCycles, rn
 		Int("accesses", c.Opt.SimAccesses).
 		Str("bench", bench).
 		Sum()
-	v, err := c.artifactValue(ctx, key,
-		func(blob []byte) (any, error) {
+	if r, ok := memoized[perfResult](ctx, c, key); ok {
+		return r.mnocCycles, r.rnocCycles, nil
+	}
+	r, err := storedValue(ctx, c, key,
+		func(blob []byte) (perfResult, error) {
 			mc, rc, err := artifact.DecodePerf(blob)
-			if err != nil {
-				return nil, err
-			}
-			return perfResult{mnocCycles: mc, rnocCycles: rc}, nil
+			return perfResult{mnocCycles: mc, rnocCycles: rc}, err
 		},
-		func() (any, []byte, error) {
+		func(context.Context) (perfResult, []byte, error) {
 			c.solveSims.Add(1)
 			c.noteSolve("sims")
 			defer c.tracer.StartSpan("exp", "solve.sim").Attr("bench", bench).End()
 			b, err := workload.ByName(bench)
 			if err != nil {
-				return nil, nil, err
+				return perfResult{}, nil, err
 			}
 			cfg := sim.DefaultConfig(c.Opt.N)
 			streams, err := sim.StreamsFromBenchmark(b, cfg, c.Opt.SimAccesses, c.Opt.Seed)
 			if err != nil {
-				return nil, nil, err
+				return perfResult{}, nil, err
 			}
 			run := func(net noc.Network) (uint64, error) {
 				m, err := sim.NewMachine(cfg, net)
@@ -76,19 +75,19 @@ func (c *Context) Performance(ctx context.Context, bench string) (mnocCycles, rn
 			}
 			mn, err := noc.NewMNoC(c.Opt.N)
 			if err != nil {
-				return nil, nil, err
+				return perfResult{}, nil, err
 			}
 			rn, err := noc.NewRNoC(c.Opt.N, 4)
 			if err != nil {
-				return nil, nil, err
+				return perfResult{}, nil, err
 			}
 			mc, err := run(mn)
 			if err != nil {
-				return nil, nil, err
+				return perfResult{}, nil, err
 			}
 			rc, err := run(rn)
 			if err != nil {
-				return nil, nil, err
+				return perfResult{}, nil, err
 			}
 			r := perfResult{mnocCycles: mc, rnocCycles: rc}
 			return r, artifact.EncodePerf(mc, rc), nil
@@ -96,7 +95,6 @@ func (c *Context) Performance(ctx context.Context, bench string) (mnocCycles, rn
 	if err != nil {
 		return 0, 0, err
 	}
-	r := v.(perfResult)
 	return r.mnocCycles, r.rnocCycles, nil
 }
 
@@ -139,24 +137,6 @@ launch:
 	return out, nil
 }
 
-// bestPTNetwork builds the paper's best overall design, 4M_T_G_S12: a
-// 4-mode communication-aware topology from the 12-benchmark sample with
-// sampled splitter weights.
-func (c *Context) bestPTNetwork(ctx context.Context) (*power.MNoC, error) {
-	return c.network(ctx, "4M_G_S12", func() (*power.MNoC, error) {
-		s12, err := c.SampledMatrix(ctx, workload.Names())
-		if err != nil {
-			return nil, err
-		}
-		t, err := topo.BestScoredPartition(s12, c.Cfg.Splitter,
-			topo.CandidatePartitions4(c.Opt.N), "4M_G_S12")
-		if err != nil {
-			return nil, err
-		}
-		return power.NewMNoC(c.Cfg, t, power.SampledWeighting(s12))
-	})
-}
-
 // Fig10 reproduces Figure 10: total NoC energy relative to rNoC for the
 // base mNoC, the clustered c_mNoC, and the best power-topology mNoC
 // (PT_mNoC = 4M_T_G_S12), with the component breakdown.
@@ -170,7 +150,7 @@ func Fig10(ctx context.Context, c *Context) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: fig10: c_mNoC model: %w", err)
 	}
-	pt, err := c.bestPTNetwork(ctx)
+	pt, err := c.DesignNetwork(ctx, DesignComm4)
 	if err != nil {
 		return nil, err
 	}

@@ -32,12 +32,35 @@ func quarters(n int) []int {
 }
 
 func distanceNet(ctx context.Context, c *Context, key string, groups []int, w power.Weighting) (*power.MNoC, error) {
-	return c.network(ctx, key, func() (*power.MNoC, error) {
+	return c.network(ctx, key, func(context.Context) (*power.MNoC, error) {
 		t, err := topo.DistanceBased(c.Opt.N, groups)
 		if err != nil {
 			return nil, err
 		}
 		return power.NewMNoC(c.Cfg, t, w)
+	})
+}
+
+// commAwareNet is the communication-aware design over the named
+// benchmarks' sampled traffic: the exact binary-partition sweep for 2
+// modes, the best-scored candidate partition for 4, with sampled
+// splitter weights. 4M_G_S12 is the paper's best overall design.
+func commAwareNet(ctx context.Context, c *Context, key string, modes int, sample []string) (*power.MNoC, error) {
+	return c.network(ctx, key, func(ctx context.Context) (*power.MNoC, error) {
+		s, err := c.SampledMatrix(ctx, sample)
+		if err != nil {
+			return nil, err
+		}
+		var t *topo.Topology
+		if modes == 2 {
+			t, err = topo.CommAware2Mode(s, c.Cfg.Splitter, key)
+		} else {
+			t, err = topo.BestScoredPartition(s, c.Cfg.Splitter, topo.CandidatePartitions4(c.Opt.N), key)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return power.NewMNoC(c.Cfg, t, power.SampledWeighting(s))
 	})
 }
 
@@ -100,32 +123,17 @@ func evaluateSpecs(ctx context.Context, c *Context, id, title string, specs []de
 // Fig8 reproduces Figure 8: distance-based power topologies with and
 // without QAP thread mapping, normalized to the single-mode base mNoC.
 func Fig8(ctx context.Context, c *Context) (*Table, error) {
-	n := c.Opt.N
-	u2, u4 := power.UniformWeighting(2), power.UniformWeighting(4)
+	design := func(kind string) func(context.Context, *Context) (*power.MNoC, error) {
+		return func(ctx context.Context, c *Context) (*power.MNoC, error) { return c.DesignNetwork(ctx, kind) }
+	}
 	specs := []designSpec{
-		{"1M", false, func(context.Context, *Context) (*power.MNoC, error) { return c.base, nil }},
-		{"1M_T", true, func(context.Context, *Context) (*power.MNoC, error) { return c.base, nil }},
-		{"2M_N_U", false, func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return distanceNet(ctx, c, "2M_N_U", halves(n), u2)
-		}},
-		{"2M_T_N_U", true, func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return distanceNet(ctx, c, "2M_N_U", halves(n), u2)
-		}},
-		{"4M_N_U", false, func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return distanceNet(ctx, c, "4M_N_U", quarters(n), u4)
-		}},
-		{"4M_T_N_U", true, func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return distanceNet(ctx, c, "4M_N_U", quarters(n), u4)
-		}},
-		{"2M_C_U", false, func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return c.network(ctx, "2M_C_U", func() (*power.MNoC, error) {
-				t, err := topo.Clustered(n, 4)
-				if err != nil {
-					return nil, err
-				}
-				return power.NewMNoC(c.Cfg, t, u2)
-			})
-		}},
+		{"1M", false, design(DesignBase)},
+		{"1M_T", true, design(DesignBase)},
+		{"2M_N_U", false, design(DesignDist2)},
+		{"2M_T_N_U", true, design(DesignDist2)},
+		{"4M_N_U", false, design(DesignDist4)},
+		{"4M_T_N_U", true, design(DesignDist4)},
+		{"2M_C_U", false, design(DesignCluster2)},
 	}
 	return evaluateSpecs(ctx, c, "fig8",
 		"Distance-based power topologies ± QAP thread mapping (normalized mNoC power)",
@@ -150,22 +158,9 @@ func Fig9(ctx context.Context, c *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	commAwareNet := func(key string, sample *trace.Matrix, modes int) func(context.Context, *Context) (*power.MNoC, error) {
+	commAware := func(key string, sample []string, modes int) func(context.Context, *Context) (*power.MNoC, error) {
 		return func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return c.network(ctx, key, func() (*power.MNoC, error) {
-				var t *topo.Topology
-				var err error
-				if modes == 2 {
-					t, err = topo.CommAware2Mode(sample, c.Cfg.Splitter, key)
-				} else {
-					t, err = topo.BestScoredPartition(sample, c.Cfg.Splitter,
-						topo.CandidatePartitions4(n), key)
-				}
-				if err != nil {
-					return nil, err
-				}
-				return power.NewMNoC(c.Cfg, t, power.SampledWeighting(sample))
-			})
+			return commAwareNet(ctx, c, key, modes, sample)
 		}
 	}
 	distSampledNet := func(key string, sample *trace.Matrix, groups []int) func(context.Context, *Context) (*power.MNoC, error) {
@@ -175,13 +170,13 @@ func Fig9(ctx context.Context, c *Context) (*Table, error) {
 	}
 	specs := []designSpec{
 		{"2M_T_N_S4", true, distSampledNet("2M_N_S4", s4, halves(n))},
-		{"2M_T_G_S4", true, commAwareNet("2M_G_S4", s4, 2)},
+		{"2M_T_G_S4", true, commAware("2M_G_S4", workload.SampleS4, 2)},
 		{"2M_T_N_S12", true, distSampledNet("2M_N_S12", s12, halves(n))},
-		{"2M_T_G_S12", true, commAwareNet("2M_G_S12", s12, 2)},
+		{"2M_T_G_S12", true, commAware("2M_G_S12", workload.Names(), 2)},
 		{"4M_T_N_S4", true, distSampledNet("4M_N_S4", s4, quarters(n))},
-		{"4M_T_G_S4", true, commAwareNet("4M_G_S4", s4, 4)},
+		{"4M_T_G_S4", true, commAware("4M_G_S4", workload.SampleS4, 4)},
 		{"4M_T_N_S12", true, distSampledNet("4M_N_S12", s12, quarters(n))},
-		{"4M_T_G_S12", true, commAwareNet("4M_G_S12", s12, 4)},
+		{"4M_T_G_S12", true, commAware("4M_G_S12", workload.Names(), 4)},
 	}
 	return evaluateSpecs(ctx, c, "fig9",
 		"Communication-aware vs distance-based mode assignment (normalized mNoC power)",

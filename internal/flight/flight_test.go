@@ -1,4 +1,4 @@
-package server
+package flight
 
 import (
 	"context"
@@ -16,7 +16,7 @@ import (
 // the leader's result.
 func TestFlightGroupCoalesces(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	g := newFlightGroup(reg.Counter("server.coalesced"))
+	g := New(reg.Counter("server.coalesced"))
 
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -81,7 +81,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 // unpublished so the next Do starts a fresh flight.
 func TestFlightGroupLastWaiterCancels(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	g := newFlightGroup(reg.Counter("server.coalesced"))
+	g := New(reg.Counter("server.coalesced"))
 
 	started := make(chan struct{})
 	cancelled := make(chan struct{})
@@ -122,52 +122,15 @@ func TestFlightGroupLastWaiterCancels(t *testing.T) {
 	}
 }
 
-// TestAdmissionOverload: a full queue rejects immediately; a request
-// whose deadline expires while waiting for a worker surfaces
-// context.DeadlineExceeded without running fn.
-func TestAdmissionOverload(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	a := newAdmission(1, 1, reg)
-
-	block := make(chan struct{})
-	started := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		a.do(context.Background(), func(context.Context) (any, error) {
-			close(started)
-			<-block
-			return nil, nil
-		})
-	}()
-	<-started // queue and worker both held
-
-	if _, err := a.do(context.Background(), nil); !errors.Is(err, errOverloaded) {
-		t.Fatalf("got %v, want errOverloaded", err)
+// waitFor polls cond for up to 5s.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	if got := reg.Counter("server.rejected").Value(); got != 1 {
-		t.Errorf("rejected = %d, want 1", got)
-	}
-
-	close(block)
-	<-done
-
-	// Queue free, worker occupied directly: a deadline fires while
-	// queued and fn never runs.
-	a.workers <- struct{}{}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	_, err := a.do(ctx, func(context.Context) (any, error) {
-		t.Error("fn ran despite expired deadline")
-		return nil, nil
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("got %v, want context.DeadlineExceeded", err)
-	}
-	<-a.workers
-
-	// Both stages released their slots.
-	if _, err := a.do(context.Background(), func(context.Context) (any, error) { return 1, nil }); err != nil {
-		t.Fatalf("admission did not recover: %v", err)
-	}
+	t.Fatal("condition not reached within 5s")
 }

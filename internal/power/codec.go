@@ -101,6 +101,20 @@ func uvarint(payload []byte) (uint64, []byte, error) {
 	return v, payload[k:], nil
 }
 
+// count consumes a uvarint element count and checks that payload still
+// holds at least size bytes per element, so a corrupt count fails
+// before it sizes an allocation.
+func count(payload []byte, size int) (int, []byte, error) {
+	v, payload, err := uvarint(payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	if v > uint64(len(payload)/size) {
+		return 0, nil, fmt.Errorf("power: truncated design payload: count %d in %d bytes", v, len(payload))
+	}
+	return int(v), payload, nil
+}
+
 // DecodePayload reverses EncodePayload, rebinding the design to the
 // given device configuration (which must be the one the design was
 // solved under — the artifact key guarantees that).
@@ -113,11 +127,10 @@ func DecodePayload(cfg Config, payload []byte) (*MNoC, error) {
 		return nil, fmt.Errorf("power: cached design for %d nodes, config for %d", n64, cfg.N)
 	}
 	n := int(n64)
-	modes64, payload, err := uvarint(payload)
+	modes, payload, err := count(payload, 1) // n mode reaches per source
 	if err != nil {
 		return nil, err
 	}
-	modes := int(modes64)
 	nameLen, payload, err := uvarint(payload)
 	if err != nil {
 		return nil, err
@@ -163,21 +176,22 @@ func DecodePayload(cfg Config, payload []byte) (*MNoC, error) {
 			return nil, err
 		}
 		d.Chain.DirLow = dir[0]
-		if v, payload, err = uvarint(payload); err != nil {
+		var taps int
+		if taps, payload, err = count(payload, 8); err != nil {
 			return nil, err
 		}
-		d.Chain.Layout = waveguide.Layout{N: int(v)}
+		d.Chain.Layout = waveguide.Layout{N: taps}
 		var geom [2]float64
 		if payload, err = readFloats(payload, geom[:]); err != nil {
 			return nil, err
 		}
 		d.Chain.Layout.LengthCM, d.Chain.Layout.LossDBPerCM = geom[0], phys.Decibels(geom[1])
-		d.Chain.Taps = make([]float64, d.Chain.Layout.N)
+		d.Chain.Taps = make([]float64, taps)
 		if payload, err = readFloats(payload, d.Chain.Taps); err != nil {
 			return nil, err
 		}
-		var nm uint64
-		if nm, payload, err = uvarint(payload); err != nil {
+		var nm int
+		if nm, payload, err = count(payload, 16); err != nil { // alphas + mode powers
 			return nil, err
 		}
 		d.Alphas = make([]float64, nm)
@@ -214,8 +228,8 @@ func DecodePayload(cfg Config, payload []byte) (*MNoC, error) {
 	case 0:
 		// no weighting (never produced by NewMNoC, but tolerated)
 	case 1:
-		var nf uint64
-		if nf, payload, err = uvarint(payload); err != nil {
+		var nf int
+		if nf, payload, err = count(payload, 8); err != nil {
 			return nil, err
 		}
 		fr := make([]float64, nf)
@@ -224,11 +238,14 @@ func DecodePayload(cfg Config, payload []byte) (*MNoC, error) {
 		}
 		out.weighting = Weighting{Fracs: fr}
 	case 2:
-		var sn uint64
-		if sn, payload, err = uvarint(payload); err != nil {
+		var sn int
+		if sn, payload, err = count(payload, 8); err != nil {
 			return nil, err
 		}
-		sm := trace.NewMatrix(int(sn))
+		if sn != 0 && sn > len(payload)/8/sn {
+			return nil, fmt.Errorf("power: truncated design payload: %d² sample in %d bytes", sn, len(payload))
+		}
+		sm := trace.NewMatrix(sn)
 		for s := range sm.Counts {
 			if payload, err = readFloats(payload, sm.Counts[s]); err != nil {
 				return nil, err

@@ -47,6 +47,29 @@ type Store interface {
 	Stats() Stats
 }
 
+// GetOrBuild returns the artifact stored under key, decoded. On a miss
+// it stores the blob build returns alongside the value, so a fresh
+// build is never decoded again. Errors pass through for the caller to
+// wrap; store errors already name the key.
+func GetOrBuild[T any](s Store, key Key, decode func([]byte) (T, error), build func() (T, []byte, error)) (T, error) {
+	var zero T
+	blob, ok, err := s.Get(key)
+	if err != nil {
+		return zero, err
+	}
+	if ok {
+		return decode(blob)
+	}
+	v, blob, err := build()
+	if err != nil {
+		return zero, err
+	}
+	if err := s.Put(key, blob); err != nil {
+		return zero, err
+	}
+	return v, nil
+}
+
 // Locator is implemented by stores that live somewhere nameable — a
 // cache directory, a remote base URL — so run summaries can say where
 // the artifacts went without type-asserting every concrete store.

@@ -112,11 +112,14 @@ func DecodeMatrix(blob []byte) (*trace.Matrix, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("artifact: truncated matrix")
 	}
-	n := int(n64)
 	payload = payload[k:]
-	if len(payload) != 8*n*n {
-		return nil, fmt.Errorf("artifact: matrix payload %d bytes, want %d", len(payload), 8*n*n)
+	// Compare cell counts, not 8·n² bytes: a corrupt n must not
+	// overflow the product into a match and size the allocation.
+	cells := uint64(len(payload) / 8)
+	if len(payload)%8 != 0 || n64 > cells || n64*n64 != cells {
+		return nil, fmt.Errorf("artifact: matrix payload %d bytes, want 8·%d²", len(payload), n64)
 	}
+	n := int(n64)
 	m := trace.NewMatrix(n)
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
@@ -149,6 +152,9 @@ func DecodeAssignment(blob []byte) (mapping.Assignment, error) {
 		return nil, fmt.Errorf("artifact: truncated assignment")
 	}
 	payload = payload[k:]
+	if n64 > uint64(len(payload)) { // every entry takes at least one byte
+		return nil, fmt.Errorf("artifact: truncated assignment: %d entries in %d bytes", n64, len(payload))
+	}
 	a := make(mapping.Assignment, n64)
 	for i := range a {
 		c, k := binary.Uvarint(payload)

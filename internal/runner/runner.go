@@ -350,12 +350,6 @@ func writeFile(path string, body func(io.Writer) error) error {
 	return f.Close()
 }
 
-// BenchTrace returns a benchmark's packet trace through the runner's
-// artifact store.
-func (r *Runner) BenchTrace(b workload.Benchmark, n int, cycles uint64, flits int, seed int64) (*trace.Trace, error) {
-	return CachedTrace(r.store, b, n, cycles, flits, seed)
-}
-
 // CachedTrace returns a benchmark's packet trace through an artifact
 // store, so disk-cached runs (fault sweeps, trace replays) skip the
 // regeneration.
@@ -367,26 +361,17 @@ func CachedTrace(store artifact.Store, b workload.Benchmark, n int, cycles uint6
 		Int("flits", flits).
 		Int64("seed", seed).
 		Sum()
-	blob, ok, err := store.Get(key)
+	tr, err := artifact.GetOrBuild(store, key, artifact.DecodeTrace,
+		func() (*trace.Trace, []byte, error) {
+			tr, err := b.Trace(n, cycles, flits, seed)
+			if err != nil {
+				return nil, nil, err
+			}
+			blob, err := artifact.EncodeTrace(tr)
+			return tr, blob, err
+		})
 	if err != nil {
-		return nil, fmt.Errorf("runner: trace cache get: %w", err)
-	}
-	if ok {
-		tr, err := artifact.DecodeTrace(blob)
-		if err != nil {
-			return nil, fmt.Errorf("runner: decoding cached trace for %s: %w", b.Name, err)
-		}
-		return tr, nil
-	}
-	tr, err := b.Trace(n, cycles, flits, seed)
-	if err != nil {
-		return nil, fmt.Errorf("runner: generating %s trace: %w", b.Name, err)
-	}
-	if blob, err = artifact.EncodeTrace(tr); err != nil {
-		return nil, fmt.Errorf("runner: encoding %s trace: %w", b.Name, err)
-	}
-	if err := store.Put(key, blob); err != nil {
-		return nil, fmt.Errorf("runner: trace cache put: %w", err)
+		return nil, fmt.Errorf("runner: %s trace: %w", b.Name, err)
 	}
 	return tr, nil
 }
@@ -402,23 +387,16 @@ func CachedQAP(store artifact.Store, profile *trace.Matrix, seed int64, iters in
 		Int64("seed", seed).
 		Int("iters", iters).
 		Sum()
-	blob, ok, err := store.Get(key)
+	a, err := artifact.GetOrBuild(store, key, artifact.DecodeAssignment,
+		func() (mapping.Assignment, []byte, error) {
+			a, err := solve()
+			if err != nil {
+				return nil, nil, err
+			}
+			return a, artifact.EncodeAssignment(a), nil
+		})
 	if err != nil {
-		return nil, fmt.Errorf("runner: QAP cache get: %w", err)
-	}
-	if ok {
-		a, err := artifact.DecodeAssignment(blob)
-		if err != nil {
-			return nil, fmt.Errorf("runner: decoding cached assignment: %w", err)
-		}
-		return a, nil
-	}
-	a, err := solve()
-	if err != nil {
-		return nil, err
-	}
-	if err := store.Put(key, artifact.EncodeAssignment(a)); err != nil {
-		return nil, fmt.Errorf("runner: QAP cache put: %w", err)
+		return nil, fmt.Errorf("runner: QAP mapping: %w", err)
 	}
 	return a, nil
 }

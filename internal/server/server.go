@@ -32,6 +32,7 @@ import (
 
 	"mnoc/internal/adapt"
 	"mnoc/internal/exp"
+	"mnoc/internal/flight"
 	"mnoc/internal/power"
 	"mnoc/internal/runner"
 	"mnoc/internal/telemetry"
@@ -78,7 +79,7 @@ type Server struct {
 	cfg     Config
 	r       *runner.Runner
 	admit   *admission
-	flights *flightGroup
+	flights *flight.Group
 
 	requests *telemetry.Counter
 	errsC    *telemetry.Counter
@@ -123,7 +124,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		r:        r,
 		admit:    newAdmission(cfg.QueueDepth, cfg.Workers, reg),
-		flights:  newFlightGroup(reg.Counter("server.coalesced")),
+		flights:  flight.New(reg.Counter("server.coalesced")),
 		requests: reg.Counter("server.requests"),
 		errsC:    reg.Counter("server.errors"),
 		timeouts: reg.Counter("server.timeouts"),

@@ -17,6 +17,7 @@ import (
 
 	"mnoc/internal/exp"
 	"mnoc/internal/runner"
+	"mnoc/internal/runner/artifact"
 	"mnoc/internal/telemetry"
 )
 
@@ -241,6 +242,81 @@ func TestCoalescing(t *testing.T) {
 	}
 	if got := reg.Counter("solve.count").Value(); got != during {
 		t.Errorf("warm repeat solved again: %d -> %d", during, got)
+	}
+}
+
+// gateStore holds every Get of the first key it is asked for until
+// release is closed, so a test can keep a cold solve in flight.
+type gateStore struct {
+	artifact.Store
+	mu      sync.Mutex
+	key     artifact.Key
+	entered chan struct{} // closed by the first Get
+	release chan struct{}
+}
+
+func (s *gateStore) Get(key artifact.Key) ([]byte, bool, error) {
+	s.mu.Lock()
+	if s.key == "" {
+		s.key = key
+		close(s.entered)
+	}
+	gated := key == s.key
+	s.mu.Unlock()
+	if gated {
+		<-s.release
+	}
+	return s.Store.Get(key)
+}
+
+// TestExpiredLeaderKeepsFollowers: two solves with different flight
+// keys meet one layer down, at the 4M_G_S12 network both need. The
+// request that started that network solve times out (504); the other,
+// still within its deadline, gets its answer (200) from the same solve.
+func TestExpiredLeaderKeepsFollowers(t *testing.T) {
+	store := &gateStore{Store: artifact.NewMemory(), entered: make(chan struct{}), release: make(chan struct{})}
+	cfg := testConfig()
+	cfg.Runner.Store = store
+	cfg.Workers = 2
+	_, ts := newTestServer(t, cfg)
+	// Registered after the server's Close, so it runs first: a failed
+	// check must not leave the held solve blocking that Close.
+	release := sync.OnceFunc(func() { close(store.release) })
+	t.Cleanup(release)
+
+	type result struct {
+		code int
+		body []byte
+	}
+	send := func(req SolveRequest) chan result {
+		ch := make(chan result, 1)
+		go func() {
+			blob, _ := json.Marshal(req)
+			resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(blob))
+			if err != nil {
+				ch <- result{body: []byte(err.Error())}
+				return
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			buf.ReadFrom(resp.Body)
+			ch <- result{resp.StatusCode, buf.Bytes()}
+		}()
+		return ch
+	}
+
+	fft := send(SolveRequest{Bench: "fft", Kind: exp.DesignComm4, TimeoutMS: 60})
+	<-store.entered // the fft request leads the network solve
+	// radix joins the held solve while fft's 60 ms run out. Should it
+	// arrive after fft has left, it starts its own solve and must get
+	// 200 just the same.
+	radix := send(SolveRequest{Bench: "radix", Kind: exp.DesignComm4})
+	if r := <-fft; r.code != http.StatusGatewayTimeout {
+		t.Fatalf("fft: status %d (%s), want 504", r.code, r.body)
+	}
+	release()
+	if r := <-radix; r.code != http.StatusOK {
+		t.Fatalf("radix: status %d (%s), want 200", r.code, r.body)
 	}
 }
 
