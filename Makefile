@@ -73,7 +73,7 @@ paper-check:
 
 # Diff the sharded sweep coordinator's merged stdout against the bench
 # golden (minus its two header lines): pins the byte-identity contract
-# — `mnoc sweep -workers 4` over the work-stealing pool must reproduce
+# — `mnoc sweep -workers 4` over the in-order worker pool must reproduce
 # the single-process `mnoc bench` tables exactly — without booting a
 # fleet. The CI fleet-smoke job re-checks this against live backends.
 sweep-check:

@@ -20,7 +20,7 @@ import (
 // fault schedule at each sweep point, so the comparison isolates the
 // recovery ladder. Sweep points run in parallel on the worker pool;
 // output is deterministic for fixed flags.
-func faultCmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
+func faultCmd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	def := runner.DefaultFaultConfig()
 	fs := newFlagSet("fault", stderr)
 	n := fs.Int("n", def.N, "crossbar radix")
@@ -100,7 +100,7 @@ func faultCmd(_ context.Context, args []string, stdout, stderr io.Writer) error 
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(telemetry.DefaultTraceCapacity)
 	begin := time.Now()
-	res, err := runner.FaultSweep(store, workers, fc, reg, tracer)
+	res, err := runner.FaultSweep(ctx, store, workers, fc, reg, tracer)
 	if err != nil {
 		return err
 	}

@@ -51,7 +51,7 @@
 // across replicas so identical requests coalesce at one backend;
 // serve -artifact-serve exposes the artifact store over HTTP so
 // replicas (-artifact-store) share one warm cache; sweep shards a
-// design-space sweep over a work-stealing pool — locally or against
+// design-space sweep over a worker pool — locally or against
 // live backends — and merges byte-identically to a single-process run.
 //
 // The observability trio (docs/TELEMETRY.md): -metrics-out writes the

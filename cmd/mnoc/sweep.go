@@ -16,12 +16,12 @@ import (
 
 // sweepCmd is the sharded sweep coordinator (docs/FLEET.md): it splits
 // a design-space sweep — experiment entries and, optionally, fault
-// points — into units, runs them on a work-stealing pool (locally, or
-// against live backends with -addr), and merges the partial tables
-// deterministically. The merged stdout is byte-identical to a
-// single-process `mnoc bench` run of the same entries: tables go to
-// stdout, everything else to stderr, so `mnoc sweep | diff - golden`
-// is the acceptance check.
+// points — into units, runs them in unit order on a worker pool
+// (locally, or against live backends with -addr), and merges the
+// partial tables deterministically. The merged stdout is
+// byte-identical to a single-process `mnoc bench` run of the same
+// entries: tables go to stdout, everything else to stderr, so
+// `mnoc sweep | diff - golden` is the acceptance check.
 func sweepCmd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("sweep", stderr)
 	which := fs.String("exp", "all", "experiment id, 'all' (paper artefacts), 'ext' (extensions), or 'everything' (ids: "+idList()+")")
@@ -208,12 +208,10 @@ func (sw sweep) storeArtifact(store artifact.Store, faultScales []float64, n int
 	fmt.Fprintf(sw.stderr, "mnoc sweep: merged artifact %s (%s)\n", key, where)
 }
 
-// finish reports the work-stealing counters and writes the optional
+// finish reports the completed-unit count and writes the optional
 // telemetry outputs.
 func (sw sweep) finish(reg *telemetry.Registry, tracer *telemetry.Tracer, meta map[string]any) error {
-	snap := reg.Snapshot()
-	fmt.Fprintf(sw.stderr, "mnoc sweep: units=%d steals=%d\n",
-		snap.Counters[fleet.MetricSweepUnits], snap.Counters[fleet.MetricSweepSteals])
+	fmt.Fprintf(sw.stderr, "mnoc sweep: units=%d\n", reg.Snapshot().Counters[fleet.MetricSweepUnits])
 	return writeTelemetry(reg, tracer, *sw.tf.metricsOut, *sw.tf.traceOut, meta)
 }
 

@@ -1,6 +1,7 @@
 // Package goroleak enforces that goroutines started in the long-lived
 // service packages (server, fleet, adapt, and flight, the coalescing
-// group they and exp.Context share) have a cancellation path.
+// group they and exp.Context share) and in fanout, the worker pool
+// under every sweep, have a cancellation path.
 // Those processes run for the life of a deployment; a goroutine that
 // never observes shutdown accumulates across config reloads and drains
 // until the process is OOM-killed mid-sweep.
@@ -32,19 +33,22 @@ import (
 // Analyzer is the goroutine-cancellation rule.
 var Analyzer = &analysis.Analyzer{
 	Name: "goroleak",
-	Doc: "goroutines in internal/server, internal/fleet, internal/adapt and internal/flight must have " +
+	Doc: "goroutines in internal/server, internal/fleet, internal/adapt, internal/flight and internal/fanout must have " +
 		"a cancellation path (receive, select, ctx.Done/Err, or a cancel-aware callee per module facts) " +
 		"or an //mnoclint:allow explaining how they terminate",
 	Run: run,
 }
 
 // scopedPackages are the long-lived service packages the rule applies
-// to; batch tools and libraries may spawn run-to-completion helpers.
+// to, plus fanout, whose pool goroutines every sweep and service
+// fan-out runs on; batch tools and libraries may spawn
+// run-to-completion helpers.
 var scopedPackages = map[string]bool{
 	"server": true,
 	"fleet":  true,
 	"adapt":  true,
 	"flight": true,
+	"fanout": true,
 }
 
 func run(pass *analysis.Pass) error {

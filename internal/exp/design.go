@@ -85,9 +85,12 @@ func (c *Context) EvaluateDesign(ctx context.Context, kind, bench string, mapped
 // accounting model. Both the named design and the base network used for
 // normalisation are priced under the same model, so the returned
 // normalisation compares like with like (worst-case design against
-// worst-case broadcast). LossAverage reproduces EvaluateDesign exactly;
-// the artifact cache is untouched by the model since repricing is a
-// cheap in-memory overlay on the cached solve.
+// worst-case broadcast). LossAverage reproduces EvaluateDesign exactly.
+// The artifact cache is untouched by the model: the cached solve is
+// repriced in memory on every call, and that repricing is not cheap.
+// Under LossWorst, WithLossModel re-runs splitter.WorstCaseDesign for
+// every source of both the design and the base network each time, and
+// nothing memoises the result.
 func (c *Context) EvaluateDesignLoss(ctx context.Context, kind, bench string, mapped bool, model power.LossModel) (power.Breakdown, float64, error) {
 	net, err := c.DesignNetwork(ctx, kind)
 	if err != nil {

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
+	"mnoc/internal/fanout"
 	"mnoc/internal/noc"
 	"mnoc/internal/phys"
 	"mnoc/internal/power"
@@ -194,22 +194,10 @@ func LoadSweep(ctx context.Context, c *Context) (*Table, error) {
 	loads := []float64{0.05, 0.1, 0.2, 0.4, 0.6, 0.8}
 	rows := make([][]string, len(loads))
 	errs := make([]error, len(loads))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-launch:
-	for i := len(loads) - 1; i >= 0; i-- {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break launch
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer func() { <-sem; wg.Done() }()
-			rows[i], errs[i] = loadSweepRow(ctx, c, bench, loads[i])
-		}(i)
-	}
-	wg.Wait()
+	fanout.Run(ctx, len(loads), runtime.GOMAXPROCS(0), func(_, k int) {
+		i := len(loads) - 1 - k // heaviest first
+		rows[i], errs[i] = loadSweepRow(ctx, c, bench, loads[i])
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("exp: loadsweep: %w", err)
 	}

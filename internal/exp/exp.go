@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mnoc/internal/fanout"
 	"mnoc/internal/flight"
 	"mnoc/internal/mapping"
 	"mnoc/internal/power"
@@ -531,29 +532,13 @@ func (c *Context) Precompute(ctx context.Context, workers int) error {
 // stops scheduling further benchmarks; the joined error then includes
 // the ctx error exactly once.
 func (c *Context) precomputeNames(ctx context.Context, names []string, workers int) error {
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
 	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			defer func() { <-sem }()
-			if _, err := c.Mapped(ctx, name); err != nil &&
-				!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				errs[i] = fmt.Errorf("%s: %w", name, err)
-			}
-		}(i, name)
-	}
-	wg.Wait()
+	fanout.Run(ctx, len(names), workers, func(_, i int) {
+		if _, err := c.Mapped(ctx, names[i]); err != nil &&
+			!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			errs[i] = fmt.Errorf("%s: %w", names[i], err)
+		}
+	})
 	if err := errors.Join(errs...); err != nil {
 		return err
 	}

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"mnoc/internal/device"
+	"mnoc/internal/fanout"
 	"mnoc/internal/noc"
 	"mnoc/internal/phys"
 	"mnoc/internal/power"
@@ -110,22 +110,9 @@ func (c *Context) performanceAll(ctx context.Context) ([]perfResult, error) {
 	benches := c.Benchmarks()
 	out := make([]perfResult, len(benches))
 	errs := make([]error, len(benches))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-launch:
-	for i, b := range benches {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break launch
-		}
-		wg.Add(1)
-		go func(i int, name string) {
-			defer func() { <-sem; wg.Done() }()
-			out[i].mnocCycles, out[i].rnocCycles, errs[i] = c.Performance(ctx, name)
-		}(i, b.Name)
-	}
-	wg.Wait()
+	fanout.Run(ctx, len(benches), runtime.GOMAXPROCS(0), func(_, i int) {
+		out[i].mnocCycles, out[i].rnocCycles, errs[i] = c.Performance(ctx, benches[i].Name)
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@
 //     behaviour.
 //
 //   - Sweep (`mnoc sweep`): a coordinator that shards a design-space
-//     sweep over workers via a work-stealing queue and merges the
+//     sweep over workers via one shared in-order queue and merges the
 //     partial tables deterministically — byte-identical to a
 //     single-process run.
 package fleet
@@ -52,9 +52,6 @@ const (
 
 	// MetricSweepUnits counts sweep work units completed.
 	MetricSweepUnits = "fleet.sweep.units"
-	// MetricSweepSteals counts units a worker stole from another
-	// worker's queue.
-	MetricSweepSteals = "fleet.sweep.steals"
 )
 
 // RegisterMetrics pre-creates the whole fleet.* family on reg, so a
@@ -66,7 +63,7 @@ func RegisterMetrics(reg *telemetry.Registry) {
 		MetricProxyRequests, MetricProxyFailovers,
 		MetricProxyEvictions, MetricProxyReadmissions,
 		MetricStoreHit, MetricStoreMiss, MetricStorePut, MetricStoreCorrupt,
-		MetricSweepUnits, MetricSweepSteals,
+		MetricSweepUnits,
 	} {
 		//mnoclint:allow metricnames warm-up loop over the fixed literal list above; the name set is pinned by testdata/golden/metrics_names_fleet.txt
 		reg.Counter(name)

@@ -136,8 +136,14 @@ func TestFleetSurvivesBackendDeathMidLoad(t *testing.T) {
 	if res.Requests != 300 {
 		t.Fatalf("load sent %d requests, want 300", res.Requests)
 	}
-	snap := p.Telemetry().Snapshot()
-	if snap.Counters[MetricProxyEvictions] == 0 {
+	// The load can finish before the 20 ms prober sees the drain, so
+	// wait for the eviction.
+	evictions := p.Telemetry().Counter(MetricProxyEvictions)
+	deadline := time.Now().Add(5 * time.Second)
+	for evictions.Value() == 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if evictions.Value() == 0 {
 		t.Error("dead backend was never evicted")
 	}
 }

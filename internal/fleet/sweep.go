@@ -9,10 +9,10 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"mnoc/internal/exp"
+	"mnoc/internal/fanout"
 	"mnoc/internal/runner"
 	"mnoc/internal/telemetry"
 )
@@ -29,99 +29,27 @@ type Unit struct {
 	Run func(ctx context.Context, worker int) ([]byte, error)
 }
 
-// stealQueue is the coordinator's work-stealing state: one FIFO queue
-// per worker, seeded round-robin (unit i → worker i%workers). An idle
-// worker first drains its own queue from the front, then steals from
-// the back of the longest other queue — the classic owner-front /
-// thief-back split, which keeps stolen work as "cold" as possible.
-// One mutex guards all queues: sweep units run for seconds, so queue
-// contention is noise.
-type stealQueue struct {
-	mu sync.Mutex
-	qs [][]int
-}
-
-func newStealQueue(units, workers int) *stealQueue {
-	q := &stealQueue{qs: make([][]int, workers)}
-	for i := 0; i < units; i++ {
-		w := i % workers
-		q.qs[w] = append(q.qs[w], i)
-	}
-	return q
-}
-
-// next returns the next unit index for worker, stolen=true if it came
-// from another worker's queue, ok=false when no work remains anywhere.
-func (q *stealQueue) next(worker int) (unit int, stolen, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if own := q.qs[worker]; len(own) > 0 {
-		unit = own[0]
-		q.qs[worker] = own[1:]
-		return unit, false, true
-	}
-	victim, best := -1, 0
-	for v, vq := range q.qs {
-		if v != worker && len(vq) > best {
-			victim, best = v, len(vq)
-		}
-	}
-	if victim < 0 {
-		return 0, false, false
-	}
-	vq := q.qs[victim]
-	unit = vq[len(vq)-1]
-	q.qs[victim] = vq[:len(vq)-1]
-	return unit, true, true
-}
-
-// RunUnits executes units on a work-stealing pool of `workers` and
-// returns their outputs in unit order. The first unit error cancels
-// the run (remaining units never start); all recorded errors are
-// joined. reg may be nil; with a registry, completed units count into
-// fleet.sweep.units and cross-queue steals into fleet.sweep.steals.
+// RunUnits executes units on a pool of `workers` that take units in
+// unit order from one shared queue, and returns their outputs in unit
+// order. The first unit error cancels the run (remaining units never
+// start); all recorded errors are joined. reg may be nil; with a
+// registry, completed units count into fleet.sweep.units.
 func RunUnits(ctx context.Context, units []Unit, workers int, reg *telemetry.Registry) ([][]byte, error) {
-	if len(units) == 0 {
-		return nil, nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
 	unitsC := reg.Counter(MetricSweepUnits)
-	stealsC := reg.Counter(MetricSweepSteals)
-	queue := newStealQueue(len(units), workers)
 	results := make([][]byte, len(units))
 	errs := make([]error, len(units))
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for runCtx.Err() == nil {
-				idx, stolen, ok := queue.next(worker)
-				if !ok {
-					return
-				}
-				if stolen {
-					stealsC.Inc()
-				}
-				out, err := units[idx].Run(runCtx, worker)
-				unitsC.Inc()
-				if err != nil {
-					errs[idx] = fmt.Errorf("fleet: sweep unit %s: %w", units[idx].ID, err)
-					cancel()
-					return
-				}
-				results[idx] = out
-			}
-		}(w)
-	}
-	wg.Wait()
+	fanout.Run(runCtx, len(units), workers, func(worker, i int) {
+		out, err := units[i].Run(runCtx, worker)
+		unitsC.Inc()
+		if err != nil {
+			errs[i] = fmt.Errorf("fleet: sweep unit %s: %w", units[i].ID, err)
+			cancel()
+			return
+		}
+		results[i] = out
+	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
@@ -177,7 +105,7 @@ const remoteRetries = 8
 
 // RemoteEntryUnits shards a bench run across live backends: each unit
 // POSTs its experiment id to /v1/bench on endpoints[worker%len] (so
-// the work-stealing pool doubles as the load balancer), decodes the
+// the worker pool doubles as the load balancer), decodes the
 // table JSON, and renders it locally with the same Fprint the local
 // path uses — keeping the merged output byte-identical regardless of
 // which side ran the solve.
@@ -272,7 +200,7 @@ func FaultUnits(r *runner.Runner, fc runner.FaultConfig, results []*runner.Fault
 				one := fc
 				one.Scales = []float64{sc}
 				one.SaveSchedulePath = ""
-				res, err := r.FaultSweep(one)
+				res, err := r.FaultSweep(ctx, one)
 				if err != nil {
 					return nil, err
 				}

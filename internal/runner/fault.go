@@ -1,13 +1,14 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"mnoc/internal/dynamic"
+	"mnoc/internal/fanout"
 	"mnoc/internal/fault"
 	"mnoc/internal/mapping"
 	"mnoc/internal/power"
@@ -38,8 +39,8 @@ type FaultSweepResult struct {
 
 // FaultSweep runs the degradation sweep on the runner's store, worker
 // pool and telemetry sinks.
-func (r *Runner) FaultSweep(fc FaultConfig) (*FaultSweepResult, error) {
-	return FaultSweep(r.store, r.workers, fc, r.tel, r.tracer)
+func (r *Runner) FaultSweep(ctx context.Context, fc FaultConfig) (*FaultSweepResult, error) {
+	return FaultSweep(ctx, r.store, r.workers, fc, r.tel, r.tracer)
 }
 
 // FaultSweep runs the degradation sweep: for each fault-rate
@@ -47,17 +48,15 @@ func (r *Runner) FaultSweep(fc FaultConfig) (*FaultSweepResult, error) {
 // fault-oblivious and the recovery policies, isolating the recovery
 // ladder. Points run concurrently on up to `workers` goroutines;
 // results come back in scale order, so output is deterministic for a
-// fixed config. reg/tracer may be nil; with a registry each point
-// counts into fault.points (failures into fault.point_errors) and
-// records a span. A failing point's error names the point — index,
+// fixed config. Once ctx is done no further point starts (a started
+// point runs to completion) and the sweep returns the ctx error.
+// reg/tracer may be nil; with a registry each point counts into
+// fault.points (failures into fault.point_errors) and records a span. A failing point's error names the point — index,
 // benchmark, scale, policy — so a joined multi-point failure stays
 // attributable.
-func FaultSweep(store artifact.Store, workers int, fc FaultConfig, reg *telemetry.Registry, tracer *telemetry.Tracer) (*FaultSweepResult, error) {
+func FaultSweep(ctx context.Context, store artifact.Store, workers int, fc FaultConfig, reg *telemetry.Registry, tracer *telemetry.Tracer) (*FaultSweepResult, error) {
 	if err := fc.Validate(); err != nil {
 		return nil, err
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	tp, err := topo.DistanceBased(fc.N, []int{fc.N / 2, fc.N - 1 - fc.N/2})
 	if err != nil {
@@ -112,45 +111,40 @@ func FaultSweep(store artifact.Store, workers int, fc FaultConfig, reg *telemetr
 		Points:  make([]FaultPoint, len(schedules)),
 	}
 	errs := make([]error, len(schedules))
-	sem := make(chan struct{}, workers)
 	pointsC := reg.Counter("fault.points")
 	pointErrsC := reg.Counter("fault.point_errors")
-	var wg sync.WaitGroup
-	for i, sched := range schedules {
-		wg.Add(1)
-		go func(i int, sched *fault.Schedule) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// wrap keeps the point attributable once errors.Join merges
-			// the sweep: which point, which workload, which policy.
-			wrap := func(policy string, err error) error {
-				return fmt.Errorf("fault point %d/%d (bench %s, scale %g, %s): %w",
-					i+1, len(schedules), b.Name, scales[i], policy, err)
-			}
-			sp := tracer.StartSpan("fault", "point").
-				Attr("bench", b.Name).
-				Attr("scale", fmt.Sprintf("%g", scales[i]))
-			defer sp.End()
-			pointsC.Inc()
-			base, err := dynamic.RunWithFaults(net, tr, initial, sched, dynamic.ObliviousPolicy())
-			if err != nil {
-				pointErrsC.Inc()
-				errs[i] = wrap("oblivious", err)
-				return
-			}
-			rec, err := dynamic.RunWithFaults(net, tr, initial, sched, dynamic.DefaultRecoveryPolicy())
-			if err != nil {
-				pointErrsC.Inc()
-				errs[i] = wrap("recovery", err)
-				return
-			}
-			res.Points[i] = FaultPoint{Scale: scales[i], Schedule: sched, Baseline: base, Recovery: rec}
-		}(i, sched)
-	}
-	wg.Wait()
+	fanout.Run(ctx, len(schedules), workers, func(_, i int) {
+		// wrap keeps the point attributable once errors.Join merges
+		// the sweep: which point, which workload, which policy.
+		wrap := func(policy string, err error) error {
+			return fmt.Errorf("fault point %d/%d (bench %s, scale %g, %s): %w",
+				i+1, len(schedules), b.Name, scales[i], policy, err)
+		}
+		sp := tracer.StartSpan("fault", "point").
+			Attr("bench", b.Name).
+			Attr("scale", fmt.Sprintf("%g", scales[i]))
+		defer sp.End()
+		pointsC.Inc()
+		sched := schedules[i]
+		base, err := dynamic.RunWithFaults(net, tr, initial, sched, dynamic.ObliviousPolicy())
+		if err != nil {
+			pointErrsC.Inc()
+			errs[i] = wrap("oblivious", err)
+			return
+		}
+		rec, err := dynamic.RunWithFaults(net, tr, initial, sched, dynamic.DefaultRecoveryPolicy())
+		if err != nil {
+			pointErrsC.Inc()
+			errs[i] = wrap("recovery", err)
+			return
+		}
+		res.Points[i] = FaultPoint{Scale: scales[i], Schedule: sched, Baseline: base, Recovery: rec}
+	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("runner: fault sweep: %w", err)
 	}
 	return res, nil
 }

@@ -7,10 +7,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"mnoc/internal/exp"
+	"mnoc/internal/fanout"
 	"mnoc/internal/mapping"
 	"mnoc/internal/noc"
 	"mnoc/internal/power"
@@ -144,68 +144,62 @@ func (r *Runner) Precompute(ctx context.Context) error {
 }
 
 // RunEntries executes the experiments on the worker pool and returns
-// their tables in entry order. Every failing entry is reported (errors
-// joined in entry order), not just the first — unless Config.FailFast
-// is set, in which case the first error cancels the run context so
-// queued entries never start and in-flight entries abort at their next
-// cancellation point. A done ctx (deadline or caller cancel) has the
-// same draining effect. The pool reports into the run's telemetry:
-// runner.queue_depth/active gauges track scheduling, each entry records
-// a span plus its wall time in runner.entry_ms, and
+// their tables in entry order. Entries start in entry order. Every
+// failing entry is reported (errors joined in entry order), not just
+// the first — unless Config.FailFast is set, in which case the first
+// error cancels the run context so queued entries never start and
+// in-flight entries abort at their next cancellation point. A done ctx
+// (deadline or caller cancel) has the same draining effect; an entry
+// that never started reports "<id>: <ctx err>". The pool reports into
+// the run's telemetry: runner.queue_depth counts entries not yet
+// started and runner.active those running, each entry records a span
+// plus its wall time in runner.entry_ms, and
 // runner.entries/entry_errors count outcomes.
 func (r *Runner) RunEntries(ctx context.Context, entries []exp.Entry) ([]*exp.Table, error) {
-	runCtx := ctx
-	var cancel context.CancelFunc
+	runCtx, cancel := ctx, context.CancelFunc(func() {})
 	if r.cfg.FailFast {
 		runCtx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
 	tables := make([]*exp.Table, len(entries))
 	errs := make([]error, len(entries))
-	sem := make(chan struct{}, r.workers)
+	started := make([]bool, len(entries))
 	queued := r.tel.Gauge("runner.queue_depth")
 	active := r.tel.Gauge("runner.active")
 	entriesC := r.tel.Counter("runner.entries")
 	errorsC := r.tel.Counter("runner.entry_errors")
 	entryMS := r.tel.Histogram("runner.entry_ms", EntryMSBuckets...)
-	var wg sync.WaitGroup
+	queued.Add(float64(len(entries)))
+	fanout.Run(runCtx, len(entries), r.workers, func(_, i int) {
+		e := entries[i]
+		started[i] = true
+		queued.Add(-1)
+		active.Add(1)
+		defer active.Add(-1)
+		sp := r.tracer.StartSpan("runner", "entry."+e.ID)
+		//mnoclint:allow determinism wall clock only feeds the runner.entry_ms telemetry histogram, never table output
+		begin := time.Now()
+		t, err := e.Run(runCtx, r.ctx)
+		entryMS.Observe(float64(time.Since(begin)) / float64(time.Millisecond))
+		entriesC.Inc()
+		if err != nil {
+			sp.Attr("error", err.Error())
+			errorsC.Inc()
+		}
+		sp.End()
+		if err != nil {
+			errs[i] = fmt.Errorf("%s: %w", e.ID, err)
+			cancel()
+			return
+		}
+		tables[i] = t
+	})
 	for i, e := range entries {
-		wg.Add(1)
-		go func(i int, e exp.Entry) {
-			defer wg.Done()
-			queued.Add(1)
-			select {
-			case sem <- struct{}{}:
-				queued.Add(-1)
-			case <-runCtx.Done():
-				queued.Add(-1)
-				errs[i] = fmt.Errorf("%s: %w", e.ID, runCtx.Err())
-				return
-			}
-			active.Add(1)
-			defer func() { active.Add(-1); <-sem }()
-			sp := r.tracer.StartSpan("runner", "entry."+e.ID)
-			//mnoclint:allow determinism wall clock only feeds the runner.entry_ms telemetry histogram, never table output
-			begin := time.Now()
-			t, err := e.Run(runCtx, r.ctx)
-			entryMS.Observe(float64(time.Since(begin)) / float64(time.Millisecond))
-			entriesC.Inc()
-			if err != nil {
-				sp.Attr("error", err.Error())
-				errorsC.Inc()
-			}
-			sp.End()
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", e.ID, err)
-				if cancel != nil {
-					cancel()
-				}
-				return
-			}
-			tables[i] = t
-		}(i, e)
+		if !started[i] {
+			queued.Add(-1)
+			errs[i] = fmt.Errorf("%s: %w", e.ID, runCtx.Err())
+		}
 	}
-	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}

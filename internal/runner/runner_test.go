@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -189,7 +190,7 @@ func TestFaultSweepPointErrorContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	_, err = FaultSweep(store, 2, fc, reg, nil)
+	_, err = FaultSweep(context.Background(), store, 2, fc, reg, nil)
 	if err == nil {
 		t.Fatal("mismatched-radix schedule did not fail")
 	}
@@ -200,6 +201,32 @@ func TestFaultSweepPointErrorContext(t *testing.T) {
 	}
 	if v := reg.Counter("fault.point_errors").Value(); v != 1 {
 		t.Errorf("fault.point_errors = %d, want 1", v)
+	}
+}
+
+// TestFaultSweepCancelled: a done ctx starts no sweep point and the
+// sweep returns the wrapped ctx error.
+func TestFaultSweepCancelled(t *testing.T) {
+	fc := FaultConfig{
+		N: 16, Bench: "syn_uniform", Cycles: 20_000, Flits: 1_000, Seed: 1,
+		Scales: []float64{0, 1, 2},
+	}
+	store, err := NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	reg := telemetry.NewRegistry()
+	res, err := FaultSweep(ctx, store, 2, fc, reg, nil)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "runner: fault sweep") {
+		t.Fatalf("cancelled sweep returned err %v, want wrapped context.Canceled", err)
+	}
+	if res != nil {
+		t.Errorf("cancelled sweep returned a result: %+v", res)
+	}
+	if v := reg.Counter("fault.points").Value(); v != 0 {
+		t.Errorf("fault.points = %d after a cancelled sweep, want 0", v)
 	}
 }
 
@@ -273,6 +300,45 @@ func TestRunEntriesFailFast(t *testing.T) {
 	}
 }
 
+// TestRunEntriesGaugesDrain: runner.queue_depth and runner.active
+// read 0 once RunEntries returns, whether the run completed, failed
+// fast, or never started an entry.
+func TestRunEntriesGaugesDrain(t *testing.T) {
+	ok := exp.Entry{ID: "ok", Title: "ok", Run: func(context.Context, *exp.Context) (*exp.Table, error) {
+		return &exp.Table{ID: "ok", Title: "ok"}, nil
+	}}
+	boom := exp.Entry{ID: "boom", Title: "boom", Run: func(context.Context, *exp.Context) (*exp.Table, error) {
+		return nil, os.ErrNotExist
+	}}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name    string
+		ctx     context.Context
+		entries []exp.Entry
+		wantErr bool
+	}{
+		{"normal", context.Background(), []exp.Entry{ok, ok, ok}, false},
+		{"fail-fast", context.Background(), []exp.Entry{boom, ok, ok, ok}, true},
+		{"pre-cancelled", cancelled, []exp.Entry{ok, ok, ok}, true},
+	} {
+		r, err := New(Config{Options: testOptions(), Workers: 1, FailFast: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.RunEntries(tc.ctx, tc.entries)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+		gauges := r.Telemetry().Snapshot().Gauges
+		for _, g := range []string{"runner.queue_depth", "runner.active"} {
+			if v := gauges[g]; v != 0 {
+				t.Errorf("%s: %s = %v after RunEntries returned, want 0", tc.name, g, v)
+			}
+		}
+	}
+}
+
 // errWriter fails every write.
 type errWriter struct{}
 
@@ -325,7 +391,7 @@ func TestFaultSweepDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.FaultSweep(fc)
+		res, err := r.FaultSweep(context.Background(), fc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +420,7 @@ func TestFaultSweepScheduleRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.FaultSweep(fc)
+	res, err := r.FaultSweep(context.Background(), fc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +433,7 @@ func TestFaultSweepScheduleRoundtrip(t *testing.T) {
 	replay := fc
 	replay.Scales = nil
 	replay.SchedulePath = path
-	res2, err := r.FaultSweep(replay)
+	res2, err := r.FaultSweep(context.Background(), replay)
 	if err != nil {
 		t.Fatal(err)
 	}
