@@ -19,10 +19,11 @@ const benchjsonUsage = errUsage(`usage:
 
 // benchjsonCmd is the performance-baseline tool (docs/BENCH.md). emit
 // parses `go test -bench -benchmem` output (stdin or -in) into the
-// machine-readable BENCH_*.json schema; check compares a current file
-// against the committed baseline and fails on a regression — >15% ns/op
-// growth (tunable) or any allocs/op growth — or on a baseline benchmark
-// that was silently dropped. `make bench` and `make bench-check` wire
+// machine-readable BENCH_*.json schema, folding the repeats of a
+// `-count N` run into one row each (benchjson.Fold); check compares a
+// current file against the committed baseline and fails on a
+// regression — >15% ns/op growth (tunable) or any allocs/op growth — or
+// on a baseline benchmark that was silently dropped. `make bench` and `make bench-check` wire
 // the two together.
 func benchjsonCmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	if len(args) < 1 {
@@ -73,7 +74,7 @@ func benchjsonEmit(args []string, stdout, stderr io.Writer) error {
 	if meta.GOARCH == "" {
 		meta.GOARCH = runtime.GOARCH
 	}
-	f, err := benchjson.New(meta, results)
+	f, err := benchjson.New(meta, benchjson.Fold(results))
 	if err != nil {
 		return err
 	}

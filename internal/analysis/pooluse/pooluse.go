@@ -83,7 +83,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 
 	// Pass A: pooled variables (Get results), local alias groups, Put
 	// calls, and reset markers, in one walk.
-	pooled := map[types.Object]bool{}      // objects holding Pool.Get results
+	pooled := map[types.Object]bool{}        // objects holding Pool.Get results
 	group := map[types.Object]types.Object{} // alias -> canonical root
 	reset := map[types.Object][]token.Pos{}  // canonical root -> reset marker positions
 	var puts []putCall

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 )
@@ -76,6 +77,9 @@ func (f *File) Validate() error {
 		if r.NsPerOp < 0 || r.BytesPerOp < 0 || r.AllocsPerOp < 0 {
 			return fmt.Errorf("benchjson: %s has a negative measurement", r.Name)
 		}
+		if math.IsNaN(r.NsPerOp) || math.IsInf(r.NsPerOp, 0) {
+			return fmt.Errorf("benchjson: %s has a non-finite ns/op", r.Name)
+		}
 		if i > 0 && f.Results[i-1].Name >= r.Name {
 			return fmt.Errorf("benchjson: results not sorted-unique at %q", r.Name)
 		}
@@ -95,6 +99,45 @@ func New(meta Meta, results []Result) (*File, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// Fold merges the repeated rows of a `go test -count N` run into one
+// result per name, in first-appearance order: the median ns/op (the
+// mean of the middle two for an even count), so one noisy repeat
+// cannot trip the ns/op gate on its own; the maximum allocs/op and
+// B/op, so the exact allocation gate still sees the worst repeat; and
+// the total run count. Names seen once pass through unchanged.
+func Fold(results []Result) []Result {
+	var order []string
+	byName := make(map[string][]Result)
+	for _, r := range results {
+		if _, seen := byName[r.Name]; !seen {
+			order = append(order, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, name := range order {
+		reps := byName[name]
+		folded := reps[0]
+		ns := make([]float64, len(reps))
+		for i, r := range reps {
+			ns[i] = r.NsPerOp
+			if i > 0 {
+				folded.Runs += r.Runs
+				folded.BytesPerOp = max(folded.BytesPerOp, r.BytesPerOp)
+				folded.AllocsPerOp = max(folded.AllocsPerOp, r.AllocsPerOp)
+			}
+		}
+		sort.Float64s(ns)
+		mid := len(ns) / 2
+		folded.NsPerOp = ns[mid]
+		if len(ns)%2 == 0 {
+			folded.NsPerOp = (ns[mid-1] + ns[mid]) / 2
+		}
+		out = append(out, folded)
+	}
+	return out
 }
 
 // Write writes the file as indented JSON with a trailing newline.

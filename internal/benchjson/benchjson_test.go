@@ -2,6 +2,7 @@ package benchjson
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -236,5 +237,74 @@ func TestCompareImprovementAndCPUMismatch(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "different CPUs") {
 		t.Errorf("report text missing CPU warning:\n%s", buf.String())
+	}
+}
+
+// TestFoldRepeats pins how `-count N` repeats become one row: the
+// median ns/op (odd and even counts), the maximum allocs/op and B/op,
+// the summed run count, first-appearance order, and single rows
+// passing through untouched. The folded rows are what New accepts.
+func TestFoldRepeats(t *testing.T) {
+	got := Fold([]Result{
+		{Name: "mnoc.BenchmarkB", Runs: 10, NsPerOp: 300, BytesPerOp: 64, AllocsPerOp: 2},
+		{Name: "mnoc.BenchmarkA", Runs: 5, NsPerOp: 40, AllocsPerOp: 1},
+		{Name: "mnoc.BenchmarkB", Runs: 12, NsPerOp: 100, BytesPerOp: 96, AllocsPerOp: 3},
+		{Name: "mnoc.BenchmarkC", Runs: 7, NsPerOp: 9, BytesPerOp: 8, AllocsPerOp: 1},
+		{Name: "mnoc.BenchmarkB", Runs: 11, NsPerOp: 200, BytesPerOp: 64, AllocsPerOp: 2},
+		{Name: "mnoc.BenchmarkA", Runs: 6, NsPerOp: 60, AllocsPerOp: 0},
+	})
+	want := []Result{
+		{Name: "mnoc.BenchmarkB", Runs: 33, NsPerOp: 200, BytesPerOp: 96, AllocsPerOp: 3},
+		{Name: "mnoc.BenchmarkA", Runs: 11, NsPerOp: 50, AllocsPerOp: 1},
+		{Name: "mnoc.BenchmarkC", Runs: 7, NsPerOp: 9, BytesPerOp: 8, AllocsPerOp: 1},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("folded %d rows, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if _, err := New(Meta{Date: "d", Scale: "quick"}, got); err != nil {
+		t.Errorf("New rejected folded rows: %v", err)
+	}
+}
+
+// TestFoldedOutlierPassesGate is the reason for folding: one slow
+// repeat out of three does not move the median, so the ns/op gate
+// stays quiet, while an allocation added in any repeat still fails.
+func TestFoldedOutlierPassesGate(t *testing.T) {
+	base := fixture(t, "", map[string][2]float64{"mnoc.BenchmarkA": {100, 1}})
+	cur := func(rows ...Result) *File {
+		f, err := New(Meta{Date: "d", Scale: "quick"}, Fold(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	noisy := cur(
+		Result{Name: "mnoc.BenchmarkA", Runs: 1, NsPerOp: 101, AllocsPerOp: 1},
+		Result{Name: "mnoc.BenchmarkA", Runs: 1, NsPerOp: 160, AllocsPerOp: 1},
+		Result{Name: "mnoc.BenchmarkA", Runs: 1, NsPerOp: 99, AllocsPerOp: 1},
+	)
+	if rep := Compare(base, noisy, DefaultThresholds()); !rep.OK() {
+		t.Errorf("one slow repeat failed the gate: %+v", rep.Regressions)
+	}
+	alloc := cur(
+		Result{Name: "mnoc.BenchmarkA", Runs: 1, NsPerOp: 100, AllocsPerOp: 1},
+		Result{Name: "mnoc.BenchmarkA", Runs: 1, NsPerOp: 100, AllocsPerOp: 2},
+		Result{Name: "mnoc.BenchmarkA", Runs: 1, NsPerOp: 100, AllocsPerOp: 1},
+	)
+	if rep := Compare(base, alloc, DefaultThresholds()); rep.OK() {
+		t.Error("an extra allocation in one repeat passed the gate")
+	}
+}
+
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, ns := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := New(Meta{Date: "d", Scale: "quick"}, []Result{{Name: "mnoc.BenchmarkA", Runs: 1, NsPerOp: ns}}); err == nil {
+			t.Errorf("ns/op %v accepted", ns)
+		}
 	}
 }

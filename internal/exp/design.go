@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"mnoc/internal/power"
+	"mnoc/internal/runner/artifact"
 	"mnoc/internal/topo"
 	"mnoc/internal/workload"
 )
@@ -49,7 +50,7 @@ func (c *Context) DesignNetwork(ctx context.Context, kind string) (*power.MNoC, 
 		return nil, fmt.Errorf("exp: unknown design kind %q (want one of %v)", kind, DesignKinds())
 	}
 	// A warm network returns here, before the builders below allocate.
-	if net, ok := memoized[*power.MNoC](ctx, c, c.networkKey(key)); ok {
+	if net, ok := memoized[*power.MNoC](ctx, c, memoKey{artifact.KindNetwork, key}); ok {
 		return net, nil
 	}
 	n := c.Opt.N
@@ -86,40 +87,61 @@ func (c *Context) EvaluateDesign(ctx context.Context, kind, bench string, mapped
 // normalisation are priced under the same model, so the returned
 // normalisation compares like with like (worst-case design against
 // worst-case broadcast). LossAverage reproduces EvaluateDesign exactly.
-// The artifact cache is untouched by the model: the cached solve is
-// repriced in memory on every call, and that repricing is not cheap.
-// Under LossWorst, WithLossModel re-runs splitter.WorstCaseDesign for
-// every source of both the design and the base network each time, and
-// nothing memoises the result.
+// The artifact cache is untouched by the model: each network prices
+// LossWorst from its own worst-case table (power.MNoC.EvaluateLoss),
+// built once per network on first use, and the base network's watts
+// are memoised per (bench, model), so a warm call costs one
+// EvaluateLoss of the design.
 func (c *Context) EvaluateDesignLoss(ctx context.Context, kind, bench string, mapped bool, model power.LossModel) (power.Breakdown, float64, error) {
 	net, err := c.DesignNetwork(ctx, kind)
 	if err != nil {
 		return power.Breakdown{}, 0, err
 	}
-	if net, err = net.WithLossModel(model); err != nil {
-		return power.Breakdown{}, 0, fmt.Errorf("exp: repricing design %s: %w", kind, err)
+	m, err := c.Shape(ctx, bench)
+	if err == nil && mapped {
+		m, err = c.Mapped(ctx, bench)
 	}
-	base, err := c.base.WithLossModel(model)
-	if err != nil {
-		return power.Breakdown{}, 0, fmt.Errorf("exp: repricing base network: %w", err)
-	}
-	naive, err := c.Shape(ctx, bench)
 	if err != nil {
 		return power.Breakdown{}, 0, err
 	}
-	baseW, err := c.evaluateWatts(base, naive)
-	if err != nil {
-		return power.Breakdown{}, 0, err
-	}
-	m := naive
-	if mapped {
-		if m, err = c.Mapped(ctx, bench); err != nil {
-			return power.Breakdown{}, 0, err
-		}
-	}
-	b, err := net.Evaluate(m, c.Opt.Cycles)
+	b, err := net.EvaluateLoss(m, c.Opt.Cycles, model)
 	if err != nil {
 		return power.Breakdown{}, 0, fmt.Errorf("exp: evaluating design %s on %s: %w", kind, bench, err)
 	}
+	baseW, err := c.baseWatts(ctx, bench, model)
+	if err != nil {
+		return power.Breakdown{}, 0, err
+	}
 	return b, baseW, nil
+}
+
+// baseWatts is the base network's total watts on bench's naive traffic
+// under model: EvaluateDesignLoss's normaliser, memoised in process.
+func (c *Context) baseWatts(ctx context.Context, bench string, model power.LossModel) (float64, error) {
+	key := memoKey{kindBaseAverage, bench}
+	switch model {
+	case "", power.LossAverage:
+	case power.LossWorst:
+		key.kind = kindBaseWorst
+	default:
+		return 0, fmt.Errorf("exp: unknown loss model %q", model)
+	}
+	if w, ok := memoized[float64](ctx, c, key); ok {
+		return w, nil
+	}
+	v, err := c.memoValue(ctx, key, func(ctx context.Context) (any, error) {
+		naive, err := c.Shape(ctx, bench)
+		if err != nil {
+			return nil, err
+		}
+		b, err := c.base.EvaluateLoss(naive, c.Opt.Cycles, model)
+		if err != nil {
+			return nil, fmt.Errorf("exp: evaluating base network on %s: %w", bench, err)
+		}
+		return b.TotalWatts(), nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return v.(float64), nil
 }

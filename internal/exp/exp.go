@@ -186,7 +186,7 @@ type Context struct {
 	cfgSig string // device-config fingerprint, folded into every key
 
 	mu      sync.Mutex
-	memo    map[artifact.Key]any
+	memo    map[memoKey]any
 	flights *flight.Group
 
 	base    *power.MNoC
@@ -228,7 +228,7 @@ func NewContextWithStore(opt Options, store artifact.Store) (*Context, error) {
 		Cfg:     cfg,
 		store:   store,
 		cfgSig:  artifact.Fingerprint(map[string]any{"cfg": cfg}),
-		memo:    make(map[artifact.Key]any),
+		memo:    make(map[memoKey]any),
 		flights: flight.New(nil),
 		base:    base,
 		benches: workload.All(),
@@ -284,11 +284,49 @@ func (c *Context) key(kind string, version int) *artifact.KeyBuilder {
 		Float("cycles", c.Opt.Cycles)
 }
 
+// memoKey names one in-process artefact: kind is its family (an
+// artifact kind such as artifact.KindMatrix, or an in-process-only one
+// such as kindMapped) and name the benchmark, design point or sample
+// set within it. Every other input of the artifact key (options and
+// device-configuration fingerprint) is fixed for the life of a
+// Context, so the pair alone is unique in the memo and a hit compares
+// two strings instead of hashing; the SHA-256 artifact key is derived
+// (artifactKey) only when the store is consulted.
+type memoKey struct{ kind, name string }
+
+// The in-process-only memo families: they never reach the store.
+const (
+	kindMapped      = "mapped"
+	kindSampled     = "sampled"
+	kindBaseAverage = "basewatts/" + string(power.LossAverage)
+	kindBaseWorst   = "basewatts/" + string(power.LossWorst)
+)
+
+// artifactKey is the store key of a stored memo family's artefact.
+func (c *Context) artifactKey(k memoKey) artifact.Key {
+	switch k.kind {
+	case artifact.KindMatrix:
+		return c.key(artifact.KindMatrix, artifact.VersionMatrix).Str("bench", k.name).Sum()
+	case artifact.KindAssignment:
+		return c.key(artifact.KindAssignment, artifact.VersionAssignment).Str("bench", k.name).Sum()
+	case artifact.KindNetwork:
+		return c.key(artifact.KindNetwork, artifact.VersionNetwork).Str("design", k.name).Sum()
+	case artifact.KindPerf:
+		return artifact.NewKey(artifact.KindPerf, artifact.VersionPerf).
+			Int("n", c.Opt.N).
+			Int64("seed", c.Opt.Seed).
+			Int("accesses", c.Opt.SimAccesses).
+			Str("bench", k.name).
+			Sum()
+	}
+	panic("exp: no artifact key for memo kind " + k.kind)
+}
+
 // memoized returns key's in-process value while ctx is live. Every
 // accessor calls it before building its solve closure: the closure
 // escapes to the flight goroutine, so checking first keeps a hit to a
 // map lookup under the lock, with no allocation and no goroutine.
-func memoized[T any](ctx context.Context, c *Context, key artifact.Key) (T, bool) {
+func memoized[T any](ctx context.Context, c *Context, key memoKey) (T, bool) {
 	c.mu.Lock()
 	v, ok := c.memo[key]
 	c.mu.Unlock()
@@ -309,11 +347,11 @@ func memoized[T any](ctx context.Context, c *Context, key artifact.Key) (T, bool
 // never fails its followers. Build closures thread that flight context
 // into every nested accessor, so an abandoned solve stops at the next
 // stage boundary rather than running the full pipeline.
-func (c *Context) memoValue(ctx context.Context, key artifact.Key, fn func(context.Context) (any, error)) (any, error) {
+func (c *Context) memoValue(ctx context.Context, key memoKey, fn func(context.Context) (any, error)) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return c.flights.Do(ctx, string(key), func(fctx context.Context) (any, error) {
+	return c.flights.Do(ctx, key.kind+"\x00"+key.name, func(fctx context.Context) (any, error) {
 		// A flight that finished between the caller's lookup and Do has
 		// already memoised the value; reuse it rather than rebuild.
 		if v, ok := memoized[any](fctx, c, key); ok {
@@ -330,14 +368,15 @@ func (c *Context) memoValue(ctx context.Context, key artifact.Key, fn func(conte
 }
 
 // storedValue is memoValue over the artifact store: a memo miss loads
-// and decodes the artefact (timing the decode into artifact.decode_ms),
-// or builds it under the flight's context and writes it back.
-func storedValue[T any](ctx context.Context, c *Context, key artifact.Key,
+// and decodes the artefact under its artifactKey (timing the decode
+// into artifact.decode_ms), or builds it under the flight's context and
+// writes it back.
+func storedValue[T any](ctx context.Context, c *Context, key memoKey,
 	decode func([]byte) (T, error),
 	build func(context.Context) (T, []byte, error),
 ) (T, error) {
 	v, err := c.memoValue(ctx, key, func(ctx context.Context) (any, error) {
-		return artifact.GetOrBuild(c.store, key,
+		return artifact.GetOrBuild(c.store, c.artifactKey(key),
 			func(blob []byte) (T, error) {
 				//mnoclint:allow determinism wall clock only feeds the artifact.decode_ms telemetry histogram, never table output
 				begin := time.Now()
@@ -363,7 +402,7 @@ func (c *Context) Base() *power.MNoC { return c.base }
 
 // Shape returns the benchmark's calibrated thread-indexed traffic.
 func (c *Context) Shape(ctx context.Context, name string) (*trace.Matrix, error) {
-	key := c.key(artifact.KindMatrix, artifact.VersionMatrix).Str("bench", name).Sum()
+	key := memoKey{artifact.KindMatrix, name}
 	if m, ok := memoized[*trace.Matrix](ctx, c, key); ok {
 		return m, nil
 	}
@@ -391,7 +430,7 @@ func (c *Context) Shape(ctx context.Context, name string) (*trace.Matrix, error)
 // QAPMapping returns the benchmark's taboo-search thread mapping
 // (solved once, then served from the artifact store).
 func (c *Context) QAPMapping(ctx context.Context, name string) (mapping.Assignment, error) {
-	key := c.key(artifact.KindAssignment, artifact.VersionAssignment).Str("bench", name).Sum()
+	key := memoKey{artifact.KindAssignment, name}
 	if a, ok := memoized[mapping.Assignment](ctx, c, key); ok {
 		return a, nil
 	}
@@ -420,7 +459,7 @@ func (c *Context) QAPMapping(ctx context.Context, name string) (mapping.Assignme
 // in-process only — the shape and mapping it derives from are the
 // cached artefacts.
 func (c *Context) Mapped(ctx context.Context, name string) (*trace.Matrix, error) {
-	key := artifact.NewKey("mapped", 1).Str("bench", name).Sum()
+	key := memoKey{kindMapped, name}
 	if m, ok := memoized[*trace.Matrix](ctx, c, key); ok {
 		return m, nil
 	}
@@ -453,7 +492,7 @@ func (c *Context) SampledMatrix(ctx context.Context, names []string) (*trace.Mat
 	if len(names) == 0 {
 		return nil, fmt.Errorf("exp: empty sample set")
 	}
-	key := artifact.NewKey("sampled", 1).Str("benches", strings.Join(names, ",")).Sum()
+	key := memoKey{kindSampled, strings.Join(names, ",")}
 	if m, ok := memoized[*trace.Matrix](ctx, c, key); ok {
 		return m, nil
 	}
@@ -482,11 +521,11 @@ func (c *Context) SampledMatrix(ctx context.Context, names []string) (*trace.Mat
 // addresses the solved design, so warm runs skip the splitter solves.
 // build receives the flight's context and must use it, not a caller's.
 func (c *Context) network(ctx context.Context, key string, build func(context.Context) (*power.MNoC, error)) (*power.MNoC, error) {
-	akey := c.networkKey(key)
-	if n, ok := memoized[*power.MNoC](ctx, c, akey); ok {
+	mkey := memoKey{artifact.KindNetwork, key}
+	if n, ok := memoized[*power.MNoC](ctx, c, mkey); ok {
 		return n, nil
 	}
-	return storedValue(ctx, c, akey,
+	return storedValue(ctx, c, mkey,
 		func(blob []byte) (*power.MNoC, error) {
 			n, err := artifact.DecodeNetwork(c.Cfg, blob)
 			if err != nil {
@@ -510,11 +549,6 @@ func (c *Context) network(ctx context.Context, key string, build func(context.Co
 			n.Instrument(c.reg)
 			return n, blob, nil
 		})
-}
-
-// networkKey is the artifact key of the named design point.
-func (c *Context) networkKey(design string) artifact.Key {
-	return c.key(artifact.KindNetwork, artifact.VersionNetwork).Str("design", design).Sum()
 }
 
 // Precompute builds every benchmark's calibrated traffic and QAP

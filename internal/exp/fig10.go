@@ -30,12 +30,7 @@ type perfResult struct {
 // radix, seed and per-core access count), so warm runs skip the
 // simulations entirely.
 func (c *Context) Performance(ctx context.Context, bench string) (mnocCycles, rnocCycles uint64, err error) {
-	key := artifact.NewKey(artifact.KindPerf, artifact.VersionPerf).
-		Int("n", c.Opt.N).
-		Int64("seed", c.Opt.Seed).
-		Int("accesses", c.Opt.SimAccesses).
-		Str("bench", bench).
-		Sum()
+	key := memoKey{artifact.KindPerf, bench}
 	if r, ok := memoized[perfResult](ctx, c, key); ok {
 		return r.mnocCycles, r.rnocCycles, nil
 	}

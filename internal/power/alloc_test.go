@@ -152,3 +152,67 @@ func TestInstrumentReregisters(t *testing.T) {
 		t.Errorf("detached Evaluate still reported: %d", got)
 	}
 }
+
+// TestEvaluateLossWorstSkipsTelemetry checks that a worst-case
+// evaluation reports to no metric sink, as the repriced view it
+// replaces never did, and that once its table is built it is as
+// allocation-free as the uninstrumented average path.
+func TestEvaluateLossWorstSkipsTelemetry(t *testing.T) {
+	n := 32
+	m, _ := evaluateFixture(t, n)
+	reg := telemetry.NewRegistry()
+	m.Instrument(reg)
+	mtx := uniformMatrix(n, 10)
+	if _, err := m.EvaluateLoss(mtx, 10000, LossWorst); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := m.EvaluateLoss(mtx, 10000, LossWorst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm worst-case EvaluateLoss allocates %.1f times per call, want 0", allocs)
+	}
+	if got := reg.Counter("power.evaluations").Value(); got != 0 {
+		t.Errorf("worst-case evaluations reported %d times to power.evaluations, want 0", got)
+	}
+}
+
+// TestEvaluateLossWorstFirstUseConcurrent has eight goroutines make
+// the first worst-case EvaluateLoss call on one fresh network at once
+// (the table is built and published under that race); every result
+// must equal a serial reference taken on a separate network.
+func TestEvaluateLossWorstFirstUseConcurrent(t *testing.T) {
+	n := 32
+	ref, fresh := evaluateFixture(t, n)
+	mtx := uniformMatrix(n, 10)
+	want, err := ref.EvaluateLoss(mtx, 10000, LossWorst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 5; round++ {
+		m := fresh()
+		const workers = 8
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got, err := m.EvaluateLoss(mtx, 10000, LossWorst)
+				if err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+				if got != want {
+					t.Errorf("worker %d: breakdown %+v, serial reference %+v", w, got, want)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+}

@@ -179,6 +179,10 @@ type MNoC struct {
 	// Evaluate path skips the registry's name lookups.
 	tel  *telemetry.Registry
 	telh atomic.Pointer[telHandles]
+	// worst is the LossWorst price table (worstModePowers): source s's
+	// mode powers are entries [s*modes, (s+1)*modes). Built on the first
+	// worst-case EvaluateLoss and never written after publication.
+	worst atomic.Pointer[[]phys.MicroWatts]
 }
 
 // telHandles are the pre-resolved metric handles and the per-Evaluate
@@ -433,22 +437,44 @@ func (m *MNoC) ModeCostMatrix() [][]float64 {
 
 // Evaluate computes the average power of carrying the traffic matrix mtx
 // (flit counts, core-indexed — apply the thread mapping with
-// Matrix.Permute first) over a window of `cycles` clock cycles.
+// Matrix.Permute first) over a window of `cycles` clock cycles, under
+// the paper's per-destination loss accounting.
+func (m *MNoC) Evaluate(mtx *trace.Matrix, cycles float64) (Breakdown, error) {
+	return m.EvaluateLoss(mtx, cycles, LossAverage)
+}
+
+// EvaluateLoss is Evaluate under an explicit insertion-loss model. It
+// equals WithLossModel(model) followed by Evaluate bit for bit, without
+// building the repriced view: LossWorst reads each source's mode powers
+// from a flat table derived from that view once per network. As with
+// the view, a worst-case evaluation reports to no metric sink.
 //
 //mnoclint:hot
-func (m *MNoC) Evaluate(mtx *trace.Matrix, cycles float64) (Breakdown, error) {
+func (m *MNoC) EvaluateLoss(mtx *trace.Matrix, cycles float64, model LossModel) (Breakdown, error) {
 	if mtx.N != m.Cfg.N {
 		return Breakdown{}, fmt.Errorf("power: matrix for %d nodes, network for %d", mtx.N, m.Cfg.N)
 	}
 	if cycles <= 0 {
 		return Breakdown{}, fmt.Errorf("power: window of %g cycles", cycles)
 	}
+	var worst []phys.MicroWatts
+	switch model {
+	case "", LossAverage:
+	case LossWorst:
+		var err error
+		if worst, err = m.worstModePowers(); err != nil {
+			return Breakdown{}, err
+		}
+	default:
+		return Breakdown{}, fmt.Errorf("power: unknown loss model %q", model)
+	}
+	modes := m.Topology.Modes
 	oePerReceiver := float64(m.Cfg.PD.OEPowerUW())
 	var srcSum, oeSum, flits float64
 	var th *telHandles
 	var modeSrc []float64
 	var scratchp *[]float64
-	if m.tel != nil {
+	if m.tel != nil && worst == nil {
 		th = m.telHandles()
 		scratchp = th.scratch.Get().(*[]float64)
 		modeSrc = *scratchp
@@ -457,14 +483,17 @@ func (m *MNoC) Evaluate(mtx *trace.Matrix, cycles float64) (Breakdown, error) {
 		}
 	}
 	for s, row := range mtx.Counts {
-		des := m.Designs[s]
+		powers := m.Designs[s].ModePowerUW
+		if worst != nil {
+			powers = worst[s*modes : (s+1)*modes]
+		}
 		reach := m.modeReach[s]
 		for d, v := range row {
 			if v == 0 || d == s {
 				continue
 			}
 			mode := m.Topology.ModeOf[s][d]
-			src := v * float64(m.Cfg.QDLED.ElectricalPower(des.ModePowerUW[mode]))
+			src := v * float64(m.Cfg.QDLED.ElectricalPower(powers[mode]))
 			srcSum += src
 			if modeSrc != nil {
 				modeSrc[mode] += src
@@ -489,6 +518,30 @@ func (m *MNoC) Evaluate(mtx *trace.Matrix, cycles float64) (Breakdown, error) {
 		th.scratch.Put(scratchp)
 	}
 	return b, nil
+}
+
+// worstModePowers returns the LossWorst price table, building it on
+// first use by flattening WithLossModel(LossWorst)'s mode powers; the
+// view itself is dropped. Like telHandles, a race between two first
+// calls at worst builds the (identical) table twice.
+func (m *MNoC) worstModePowers() ([]phys.MicroWatts, error) {
+	if t := m.worst.Load(); t != nil {
+		return *t, nil
+	}
+	view, err := m.WithLossModel(LossWorst)
+	if err != nil {
+		return nil, err
+	}
+	modes := m.Topology.Modes
+	table := make([]phys.MicroWatts, len(view.Designs)*modes)
+	for s, d := range view.Designs {
+		if len(d.ModePowerUW) != modes {
+			return nil, fmt.Errorf("power: source %d prices %d modes, topology has %d", s, len(d.ModePowerUW), modes)
+		}
+		copy(table[s*modes:], d.ModePowerUW)
+	}
+	m.worst.CompareAndSwap(nil, &table)
+	return *m.worst.Load(), nil
 }
 
 // pjOverCyclesToUW converts a total energy in pJ spent during a window

@@ -619,3 +619,70 @@ func TestWithLossModel(t *testing.T) {
 		t.Errorf("receiver-side power moved under repricing: %+v vs %+v", wcB, avgB)
 	}
 }
+
+// skewedMatrix is a deterministic non-uniform traffic matrix: every
+// pair carries a different flit count, with some pairs silent.
+func skewedMatrix(n int) *trace.Matrix {
+	m := trace.NewMatrix(n)
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s != d {
+				m.Counts[s][d] = float64((s*7 + d*3) % 11)
+			}
+		}
+	}
+	return m
+}
+
+// TestEvaluateLossMatchesReprice pins EvaluateLoss to the composition
+// it replaces, WithLossModel followed by Evaluate, with == on every
+// Breakdown field for both loss models and for 1-, 2- and 4-mode
+// networks; the worst-case table, once built, must keep answering the
+// same.
+func TestEvaluateLossMatchesReprice(t *testing.T) {
+	n := 32
+	cfg := DefaultConfig(n)
+	base, err := NewBaseMNoC(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := topo.DistanceBased(n, []int{16, 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := topo.DistanceBased(n, []int{8, 8, 8, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := map[string]*MNoC{"base": base}
+	for name, tp := range map[string]*topo.Topology{"dist2": two, "dist4": four} {
+		if nets[name], err = NewMNoC(cfg, tp, UniformWeighting(tp.Modes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mtx := skewedMatrix(n)
+	for name, m := range nets {
+		for _, model := range []LossModel{"", LossAverage, LossWorst} {
+			view, err := m.WithLossModel(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := view.Evaluate(mtx, 10000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				got, err := m.EvaluateLoss(mtx, 10000, model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s %q call %d: EvaluateLoss = %+v, WithLossModel+Evaluate = %+v", name, model, i, got, want)
+				}
+			}
+		}
+	}
+	if _, err := base.EvaluateLoss(mtx, 10000, "median"); err == nil {
+		t.Error("unknown loss model accepted")
+	}
+}
