@@ -162,15 +162,14 @@ BENCH_DATE ?= $(shell date -u +%Y-%m-%d)
 BENCH_FILE ?= BENCH_$(BENCH_DATE).json
 BENCH_SCALE ?= quick
 BENCHTIME ?= 1s
-BENCHCOUNT ?= 3
 
 # Measure the curated set and emit the machine-readable BENCH_<date>.json
 # (schema: internal/benchjson, docs/BENCH.md). Each benchmark runs
-# BENCHCOUNT times; emit folds the repeats into the median ns/op and the
+# three times; emit folds the repeats into the median ns/op and the
 # maximum allocs/op, so one noisy repeat cannot trip the ns/op gate.
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem \
-		-benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) $(BENCH_PKGS) | tee /tmp/mnoc_bench_raw.txt
+		-benchtime=$(BENCHTIME) -count=3 $(BENCH_PKGS) | tee /tmp/mnoc_bench_raw.txt
 	$(GO) run ./cmd/mnoc benchjson emit -in /tmp/mnoc_bench_raw.txt \
 		-out $(BENCH_FILE) -scale $(BENCH_SCALE) -date $(BENCH_DATE)
 

@@ -89,7 +89,9 @@ func (f *File) Validate() error {
 
 // New assembles a validated File from parsed results: names are sorted
 // and duplicates rejected (two benchmarks of the same qualified name
-// would silently shadow each other in the baseline).
+// would silently shadow each other in the baseline). `mnoc benchjson
+// emit` passes its rows through Fold first, so there the repeated names
+// of a `-count N` run are repeats, merged into one row, not an error.
 func New(meta Meta, results []Result) (*File, error) {
 	meta.Schema = Schema
 	rs := append([]Result(nil), results...)
@@ -102,27 +104,24 @@ func New(meta Meta, results []Result) (*File, error) {
 }
 
 // Fold merges the repeated rows of a `go test -count N` run into one
-// result per name, in first-appearance order: the median ns/op (the
-// mean of the middle two for an even count), so one noisy repeat
-// cannot trip the ns/op gate on its own; the maximum allocs/op and
-// B/op, so the exact allocation gate still sees the worst repeat; and
-// the total run count. Names seen once pass through unchanged.
+// result per name, sorted by name: the median ns/op (the mean of the
+// middle two for an even count), so one noisy repeat cannot trip the
+// ns/op gate on its own; the maximum allocs/op and B/op, so the exact
+// allocation gate still sees the worst repeat; and the total run count.
+// Names seen once pass through unchanged.
 func Fold(results []Result) []Result {
-	var order []string
-	byName := make(map[string][]Result)
-	for _, r := range results {
-		if _, seen := byName[r.Name]; !seen {
-			order = append(order, r.Name)
+	rs := append([]Result(nil), results...)
+	sort.SliceStable(rs, func(i, j int) bool { return rs[i].Name < rs[j].Name })
+	var out []Result
+	for lo := 0; lo < len(rs); {
+		hi := lo + 1
+		for hi < len(rs) && rs[hi].Name == rs[lo].Name {
+			hi++
 		}
-		byName[r.Name] = append(byName[r.Name], r)
-	}
-	out := make([]Result, 0, len(order))
-	for _, name := range order {
-		reps := byName[name]
-		folded := reps[0]
-		ns := make([]float64, len(reps))
-		for i, r := range reps {
-			ns[i] = r.NsPerOp
+		folded := rs[lo]
+		ns := make([]float64, 0, hi-lo)
+		for i, r := range rs[lo:hi] {
+			ns = append(ns, r.NsPerOp)
 			if i > 0 {
 				folded.Runs += r.Runs
 				folded.BytesPerOp = max(folded.BytesPerOp, r.BytesPerOp)
@@ -136,6 +135,7 @@ func Fold(results []Result) []Result {
 			folded.NsPerOp = (ns[mid-1] + ns[mid]) / 2
 		}
 		out = append(out, folded)
+		lo = hi
 	}
 	return out
 }

@@ -242,8 +242,8 @@ func TestCompareImprovementAndCPUMismatch(t *testing.T) {
 
 // TestFoldRepeats pins how `-count N` repeats become one row: the
 // median ns/op (odd and even counts), the maximum allocs/op and B/op,
-// the summed run count, first-appearance order, and single rows
-// passing through untouched. The folded rows are what New accepts.
+// the summed run count, and single rows passing through untouched.
+// The folded rows are what New accepts.
 func TestFoldRepeats(t *testing.T) {
 	got := Fold([]Result{
 		{Name: "mnoc.BenchmarkB", Runs: 10, NsPerOp: 300, BytesPerOp: 64, AllocsPerOp: 2},
@@ -254,8 +254,8 @@ func TestFoldRepeats(t *testing.T) {
 		{Name: "mnoc.BenchmarkA", Runs: 6, NsPerOp: 60, AllocsPerOp: 0},
 	})
 	want := []Result{
-		{Name: "mnoc.BenchmarkB", Runs: 33, NsPerOp: 200, BytesPerOp: 96, AllocsPerOp: 3},
 		{Name: "mnoc.BenchmarkA", Runs: 11, NsPerOp: 50, AllocsPerOp: 1},
+		{Name: "mnoc.BenchmarkB", Runs: 33, NsPerOp: 200, BytesPerOp: 96, AllocsPerOp: 3},
 		{Name: "mnoc.BenchmarkC", Runs: 7, NsPerOp: 9, BytesPerOp: 8, AllocsPerOp: 1},
 	}
 	if len(got) != len(want) {

@@ -116,7 +116,8 @@ func (c *Context) EvaluateDesignLoss(ctx context.Context, kind, bench string, ma
 }
 
 // baseWatts is the base network's total watts on bench's naive traffic
-// under model: EvaluateDesignLoss's normaliser, memoised in process.
+// under model, memoised in process: Table 4's power column and the
+// normaliser of every normalised-power table and of EvaluateDesignLoss.
 func (c *Context) baseWatts(ctx context.Context, bench string, model power.LossModel) (float64, error) {
 	key := memoKey{kindBaseAverage, bench}
 	switch model {

@@ -94,7 +94,7 @@ func Conventional(ctx context.Context, c *Context) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			baseW, err := c.evaluateWatts(c.base, naive)
+			baseW, err := c.baseWatts(ctx, bench.Name, power.LossAverage)
 			if err != nil {
 				return nil, err
 			}
@@ -142,7 +142,7 @@ func Joint(ctx context.Context, c *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		baseW, err := c.evaluateWatts(c.base, naive)
+		baseW, err := c.baseWatts(ctx, name, power.LossAverage)
 		if err != nil {
 			return nil, err
 		}
@@ -290,15 +290,11 @@ func MWSRCompare(ctx context.Context, c *Context) (*Table, error) {
 	}
 	var vSWMR, vPT, vMWSR []float64
 	for _, b := range c.Benchmarks() {
-		naive, err := c.Shape(ctx, b.Name)
-		if err != nil {
-			return nil, err
-		}
 		mapped, err := c.Mapped(ctx, b.Name)
 		if err != nil {
 			return nil, err
 		}
-		baseW, err := c.evaluateWatts(c.base, naive)
+		baseW, err := c.baseWatts(ctx, b.Name, power.LossAverage)
 		if err != nil {
 			return nil, err
 		}

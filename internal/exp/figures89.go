@@ -80,7 +80,7 @@ func evaluateSpecs(ctx context.Context, c *Context, id, title string, specs []de
 		if err != nil {
 			return nil, err
 		}
-		baseW, err := c.evaluateWatts(c.base, naive)
+		baseW, err := c.baseWatts(ctx, b.Name, power.LossAverage)
 		if err != nil {
 			return nil, err
 		}
@@ -198,11 +198,7 @@ func AppSpecific(ctx context.Context, c *Context) (*Table, error) {
 	}
 	var v2, v4 []float64
 	for _, b := range c.Benchmarks() {
-		naive, err := c.Shape(ctx, b.Name)
-		if err != nil {
-			return nil, err
-		}
-		baseW, err := c.evaluateWatts(c.base, naive)
+		baseW, err := c.baseWatts(ctx, b.Name, power.LossAverage)
 		if err != nil {
 			return nil, err
 		}
@@ -286,11 +282,7 @@ func Sensitivity(ctx context.Context, c *Context) (*Table, error) {
 	for _, wt := range weightings {
 		var vals []float64
 		for _, b := range c.Benchmarks() {
-			naive, err := c.Shape(ctx, b.Name)
-			if err != nil {
-				return nil, err
-			}
-			baseW, err := c.evaluateWatts(c.base, naive)
+			baseW, err := c.baseWatts(ctx, b.Name, power.LossAverage)
 			if err != nil {
 				return nil, err
 			}

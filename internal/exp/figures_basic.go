@@ -189,7 +189,7 @@ func Table4(ctx context.Context, c *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, err := c.evaluateWatts(c.base, m)
+		w, err := c.baseWatts(ctx, b.Name, power.LossAverage)
 		if err != nil {
 			return nil, err
 		}
