@@ -128,10 +128,12 @@ metrics-check:
 		> /tmp/mnoc_adapt_metrics_names.txt
 	diff -u testdata/golden/metrics_names_adapt.txt /tmp/mnoc_adapt_metrics_names.txt
 
-# Short seeded fuzz passes (nine targets, 10 s each) over the
+# Short seeded fuzz passes (eleven targets, 10 s each) over the
 # text-format parsers (including the mnoc-adapt-trace v1 reader behind
 # replay -trace and serve -adapt-trace, and the `go test -bench` reader
-# behind `mnoc benchjson emit`), the telemetry exporters, the
+# behind `mnoc benchjson emit`), the trace readers (the binary reader
+# behind `mnoc power -i` and `sim`, the CSV matrix reader behind
+# `mnoc power -matrix`), the telemetry exporters, the
 # serve-path request decoder (every body is either accepted or refused
 # with a 400 JSON error envelope), and the MART artifact envelope and
 # codecs (disk caches and PUT /artifacts/<key> bytes decode or error,
@@ -142,6 +144,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/fault
 	$(GO) test -run=^$$ -fuzz=FuzzParseTrace -fuzztime=10s ./internal/adapt
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=10s ./internal/drivetable
+	$(GO) test -run=^$$ -fuzz=^FuzzRead$$ -fuzztime=10s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzReadCSV -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzExporters -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePost -fuzztime=10s ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzOpenEnvelope -fuzztime=10s ./internal/runner/artifact

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,6 +14,7 @@ import (
 
 	"mnoc/internal/core"
 	"mnoc/internal/drivetable"
+	"mnoc/internal/exp"
 )
 
 // mnoc runs one command line in process and returns its exit status and
@@ -35,6 +37,11 @@ func mustRun(t *testing.T, args ...string) string {
 }
 
 func TestExitCodes(t *testing.T) {
+	kinds := strings.Join(exp.DesignKinds(), ", ")
+	twoNodes := filepath.Join(t.TempDir(), "two.csv")
+	if err := os.WriteFile(twoNodes, []byte("0,1\n1,0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name       string
 		args       []string
@@ -54,7 +61,10 @@ func TestExitCodes(t *testing.T) {
 		{"trace info without -i", []string{"trace", "info"}, 1, "", "mnoc trace: info: -i is required"},
 		{"unknown -exp id", []string{"bench", "-exp", "nosuch"}, 1, "", `mnoc bench: unknown experiment "nosuch"`},
 		{"unknown sweep -exp id", []string{"sweep", "-exp", "nosuch"}, 1, "", `mnoc sweep: unknown experiment "nosuch"`},
-		{"unknown design kind", []string{"topo", "-n", "16", "-kind", "nosuch"}, 1, "", `mnoc topo: unknown kind "nosuch"`},
+		{"unknown design kind", []string{"topo", "-n", "16", "-kind", "nosuch"}, 1, "", `mnoc topo: unknown kind "nosuch" (want one of ` + kinds + ")"},
+		{"unknown power kind", []string{"power", "-matrix", twoNodes, "-kind", "nosuch"}, 1, "", `mnoc power: unknown kind "nosuch" (want one of ` + kinds + ")"},
+		{"2-node comm2 topo", []string{"topo", "-n", "2", "-kind", "comm2"}, 1, "", "needs at least 3 nodes, got 2"},
+		{"2-node comm2 power", []string{"power", "-matrix", twoNodes, "-kind", "comm2"}, 1, "", "needs at least 3 nodes, got 2"},
 		{"unknown network", []string{"sim", "-net", "nosuch"}, 1, "", `mnoc sim: unknown network "nosuch"`},
 		{"benchjson without verb", []string{"benchjson"}, 2, "", "mnoc benchjson emit"},
 		{"benchjson check without -current", []string{"benchjson", "check"}, 2, "", "mnoc benchjson check"},
@@ -211,7 +221,7 @@ func TestTopoExportKeepsQAPMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := sys.BroadcastDesign()
+	base, err := sys.Design(exp.DesignBase, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +232,7 @@ func TestTopoExportKeepsQAPMapping(t *testing.T) {
 	if slices.Equal(want.Mapping, base.Mapping) {
 		t.Fatal("QAP mapping is the identity; the test cannot tell the two apart")
 	}
-	for _, kind := range strings.Split(designKinds, ", ") {
+	for _, kind := range cliKinds() {
 		t.Run(kind, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "t.drv")
 			mustRun(t, "topo", "-n", "16", "-bench", bench, "-kind", kind, "-qap", "-render", "0", "-export", path)
@@ -236,6 +246,61 @@ func TestTopoExportKeepsQAPMapping(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// cliKinds is every name -kind accepts: the design kinds, then the
+// aliases, sorted.
+func cliKinds() []string {
+	var aliases []string
+	for alias := range kindAliases {
+		aliases = append(aliases, alias)
+	}
+	slices.Sort(aliases)
+	return append(exp.DesignKinds(), aliases...)
+}
+
+// csvMatrix writes an n×n traffic matrix CSV and returns its path.
+func csvMatrix(t *testing.T, n int) string {
+	t.Helper()
+	var b strings.Builder
+	for i := range n {
+		for j := range n {
+			if j > 0 {
+				b.WriteString(",")
+			}
+			if i == j {
+				b.WriteString("0")
+			} else {
+				fmt.Fprintf(&b, "%d", (i*7+j*3)%11)
+			}
+		}
+		b.WriteString("\n")
+	}
+	path := filepath.Join(t.TempDir(), "m.csv")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// topo and power accept every kind, and an alias prints byte for byte
+// what its design kind prints.
+func TestKindAliases(t *testing.T) {
+	commands := map[string][]string{
+		"topo":  {"topo", "-n", "16", "-bench", "fft", "-render", "4"},
+		"power": {"power", "-matrix", csvMatrix(t, 8), "-qap=false"},
+	}
+	for name, args := range commands {
+		out := map[string]string{}
+		for _, kind := range cliKinds() {
+			out[kind] = mustRun(t, append(slices.Clone(args), "-kind", kind)...)
+		}
+		for alias, kind := range kindAliases {
+			if out[alias] != out[kind] {
+				t.Errorf("%s -kind %s:\n%s\ndiffers from -kind %s:\n%s", name, alias, out[alias], kind, out[kind])
+			}
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ func powerCmd(_ context.Context, args []string, stdout, stderr io.Writer) error 
 		in       = fs.String("i", "", "input trace file (this or -matrix is required)")
 		matrix   = fs.String("matrix", "", "input CSV traffic matrix (flits; alternative to -i)")
 		cyc      = fs.Float64("cycles", 1e6, "evaluation window in cycles when using -matrix")
-		kind     = fs.String("kind", "comm4", "design kind: "+designKinds)
+		kind     = fs.String("kind", "comm4", kindUsage)
 		qap      = fs.Bool("qap", true, "apply QAP thread mapping")
 		seed     = fs.Int64("seed", 1, "random seed for the QAP search")
 		cacheDir = fs.String("cache-dir", "", "persistent artifact cache directory (reuses QAP solves across runs)")

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"mnoc/internal/core"
+	"mnoc/internal/exp"
 	"mnoc/internal/mapping"
 	"mnoc/internal/phys"
-	"mnoc/internal/power"
 	"mnoc/internal/runner"
 	"mnoc/internal/runner/artifact"
 	"mnoc/internal/trace"
@@ -22,7 +24,7 @@ func topoCmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	var (
 		n        = fs.Int("n", 64, "crossbar radix")
 		bench    = fs.String("bench", "water_s", "workload to profile (one of: "+fmt.Sprint(core.Benchmarks())+")")
-		kind     = fs.String("kind", "comm2", "design kind: "+designKinds)
+		kind     = fs.String("kind", "comm2", kindUsage)
 		qap      = fs.Bool("qap", false, "apply QAP thread mapping before profiling-driven design")
 		render   = fs.Int("render", 16, "how many nodes of the adjacency matrix to print (0 = none)")
 		seed     = fs.Int64("seed", 1, "random seed")
@@ -89,8 +91,12 @@ func topoCmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// designKinds is the -kind set `topo` and `power` accept.
-const designKinds = "comm2, comm4, dist2, dist4, cluster, broadcast"
+// kindAliases are the CLI's earlier names for two design kinds, still
+// accepted so existing command lines keep working.
+var kindAliases = map[string]string{"broadcast": exp.DesignBase, "cluster": exp.DesignCluster2}
+
+// kindUsage is the -kind flag's help text.
+var kindUsage = "design kind: " + strings.Join(exp.DesignKinds(), ", ") + " (aliases: broadcast = base, cluster = cluster2)"
 
 // designByKind builds the named power topology for a thread-indexed
 // traffic profile and returns it with its thread mapping attached,
@@ -100,7 +106,13 @@ const designKinds = "comm2, comm4, dist2, dist4, cluster, broadcast"
 // the way the paper's T variants are.
 func designByKind(sys *core.System, store artifact.Store, profile *trace.Matrix,
 	kind string, qap bool, seed int64) (design, base *core.Design, err error) {
-	if base, err = sys.BroadcastDesign(); err != nil {
+	if alias, ok := kindAliases[kind]; ok {
+		kind = alias
+	}
+	if !slices.Contains(exp.DesignKinds(), kind) {
+		return nil, nil, fmt.Errorf("unknown kind %q (want one of %s)", kind, strings.Join(exp.DesignKinds(), ", "))
+	}
+	if base, err = sys.Design(exp.DesignBase, nil); err != nil {
 		return nil, nil, err
 	}
 	asg := base.Mapping
@@ -120,25 +132,7 @@ func designByKind(sys *core.System, store artifact.Store, profile *trace.Matrix,
 	if err != nil {
 		return nil, nil, err
 	}
-	n := sys.N()
-	switch kind {
-	case "comm2":
-		design, err = sys.CommAwareDesign(mapped, 2)
-	case "comm4":
-		design, err = sys.CommAwareDesign(mapped, 4)
-	case "dist2":
-		design, err = sys.DistanceDesign([]int{n / 2, n - 1 - n/2}, power.UniformWeighting(2))
-	case "dist4":
-		q := n / 4
-		design, err = sys.DistanceDesign([]int{q, q, q, n - 1 - 3*q}, power.UniformWeighting(4))
-	case "cluster":
-		design, err = sys.ClusteredDesign(4)
-	case "broadcast":
-		design = base
-	default:
-		err = fmt.Errorf("unknown kind %q (want one of %s)", kind, designKinds)
-	}
-	if err != nil {
+	if design, err = sys.Design(kind, mapped); err != nil {
 		return nil, nil, err
 	}
 	if design, err = design.WithMapping(asg); err != nil {

@@ -53,7 +53,7 @@ func main() {
 		}
 	}
 
-	base, err := sys.BroadcastDesign()
+	base, err := sys.Design("base", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	custom, err := sys.CommAwareDesign(coreTraffic, 2)
+	custom, err := sys.Design("comm2", coreTraffic)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func main() {
 	}
 
 	// 2. Baseline: the single-mode broadcast mNoC.
-	base, err := sys.BroadcastDesign()
+	base, err := sys.Design("base", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func main() {
 
 	// 4. Power topology: a 4-mode communication-aware design on the
 	//    mapped traffic, evaluated with the same mapping.
-	pt, err := sys.CommAwareDesign(coreTraffic, 4)
+	pt, err := sys.Design("comm4", coreTraffic)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -239,5 +239,5 @@ func (d *Design) EvaluatePower(m *trace.Matrix, cycles float64) (power.Breakdown
 
 // defaultTopology is the 2-mode distance-based halves partition.
 func defaultTopology(n int) (*topo.Topology, error) {
-	return topo.DistanceBased(n, []int{n / 2, n - 1 - n/2})
+	return topo.DistanceModes(n, 2)
 }

@@ -1,20 +1,23 @@
-// Package core is the high-level entry point of the library: it wires
-// the optical device models, splitter designer, power-topology builders,
-// QAP thread mapper and power/performance evaluators into a small,
-// cohesive API. Examples and command-line tools work exclusively
-// through this package; the paper's whole pipeline is:
+// Package core is the examples' façade over the library: it wires
+// workload profiling, the design builder (exp.BuildDesign), the QAP
+// thread mapper and power evaluation into a small API. Five of the six
+// examples and `mnoc topo`/`mnoc power` use it; the dynamicphases
+// example and the experiment commands (bench, serve, compare, ...) call
+// the packages underneath directly. The paper's whole pipeline is:
 //
 //	sys, _ := core.NewSystem(256)
-//	profile, _ := sys.Profile("water_s", 1)          // traffic matrix
-//	des, _ := sys.CommAwareDesign(profile, 4)        // power topology
-//	des, _ = des.WithQAPMapping(profile, 1)          // thread mapping
-//	bd, _ := des.Power(profile, 1e6)                 // breakdown, µW
+//	profile, _ := sys.Profile("water_s", 1)               // traffic matrix
+//	base, _ := sys.Design("base", nil)                     // broadcast baseline
+//	mapped, _ := base.WithQAPMapping(profile, core.QAPOptions{Seed: 1})
+//	traffic, _ := mapped.MappedTraffic(profile)            // core-indexed
+//	des, _ := sys.Design("comm4", traffic)                 // power topology
+//	des, _ = des.WithMapping(mapped.Mapping)               // thread mapping
+//	bd, _ := des.Power(profile, core.ProfileCycles)        // breakdown, µW
 package core
 
 import (
-	"fmt"
-
 	"mnoc/internal/drivetable"
+	"mnoc/internal/exp"
 	"mnoc/internal/mapping"
 	"mnoc/internal/power"
 	"mnoc/internal/topo"
@@ -76,58 +79,16 @@ type Design struct {
 	Mapping mapping.Assignment
 }
 
-func (s *System) finish(t *topo.Topology, w power.Weighting) (*Design, error) {
-	net, err := power.NewMNoC(s.Cfg, t, w)
+// Design builds the named design kind (exp.DesignKinds) with the
+// identity thread mapping. The communication-aware kinds are fitted to
+// traffic, the core-indexed matrix the design will carry; the other
+// kinds ignore it.
+func (s *System) Design(kind string, traffic *trace.Matrix) (*Design, error) {
+	net, err := exp.BuildDesign(s.Cfg, kind, traffic)
 	if err != nil {
 		return nil, err
 	}
-	return &Design{sys: s, Topology: t, Network: net, Mapping: mapping.Identity(s.N())}, nil
-}
-
-// BroadcastDesign is the base mNoC: one power mode reaching everyone.
-func (s *System) BroadcastDesign() (*Design, error) {
-	return s.finish(topo.SingleMode(s.N()), power.UniformWeighting(1))
-}
-
-// ClusteredDesign maps a conventional clustered topology (Fig. 5a) onto
-// two power modes.
-func (s *System) ClusteredDesign(clusterSize int) (*Design, error) {
-	t, err := topo.Clustered(s.N(), clusterSize)
-	if err != nil {
-		return nil, err
-	}
-	return s.finish(t, power.UniformWeighting(2))
-}
-
-// DistanceDesign builds the naive distance-based topology (Fig. 5b /
-// Section 5.2) with the given nearest-group sizes and design weighting.
-func (s *System) DistanceDesign(groupSizes []int, w power.Weighting) (*Design, error) {
-	t, err := topo.DistanceBased(s.N(), groupSizes)
-	if err != nil {
-		return nil, err
-	}
-	return s.finish(t, w)
-}
-
-// CommAwareDesign builds the communication-aware topology of Section
-// 4.3 from a profiled traffic matrix: the exact binary-partition sweep
-// for 2 modes, the paper's best manual partition for 4.
-func (s *System) CommAwareDesign(profile *trace.Matrix, modes int) (*Design, error) {
-	var t *topo.Topology
-	var err error
-	switch modes {
-	case 2:
-		t, err = topo.CommAware2Mode(profile, s.Cfg.Splitter, "2M_G")
-	case 4:
-		t, err = topo.BestScoredPartition(profile, s.Cfg.Splitter,
-			topo.CandidatePartitions4(s.N()), "4M_G")
-	default:
-		return nil, fmt.Errorf("core: communication-aware designs support 2 or 4 modes, got %d", modes)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return s.finish(t, power.SampledWeighting(profile))
+	return &Design{sys: s, Topology: net.Topology, Network: net, Mapping: mapping.Identity(s.N())}, nil
 }
 
 // QAPOptions tunes WithQAPMapping.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mnoc/internal/mapping"
-	"mnoc/internal/power"
 )
 
 func TestNewSystem(t *testing.T) {
@@ -30,7 +29,7 @@ func TestProfileCalibratesToTable4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.BroadcastDesign()
+	d, err := s.Design("base", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +64,11 @@ func TestDesignLadder(t *testing.T) {
 		return b.TotalWatts()
 	}
 
-	base, err := s.BroadcastDesign()
+	base, err := s.Design("base", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := s.DistanceDesign([]int{32, 31}, power.UniformWeighting(2))
+	dist, err := s.Design("dist2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestDesignLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := s.CommAwareDesign(mapped, 2)
+	ca, err := s.Design("comm2", mapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +106,19 @@ func TestClusteredDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.ClusteredDesign(4)
+	d, err := s.Design("cluster2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Topology.Modes != 2 {
-		t.Errorf("modes = %d", d.Topology.Modes)
+	if d.Topology.Modes != 2 || d.Topology.Name != "2M_cluster4" {
+		t.Errorf("modes = %d, name %q", d.Topology.Modes, d.Topology.Name)
 	}
-	if _, err := s.ClusteredDesign(3); err == nil {
-		t.Error("bad cluster size accepted")
+	odd, err := NewSystem(18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := odd.Design("cluster2", nil); err == nil {
+		t.Error("clusters of 4 accepted on 18 nodes")
 	}
 }
 
@@ -128,10 +131,13 @@ func TestCommAwareDesignRejectsOtherModeCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CommAwareDesign(m, 3); err == nil {
+	if _, err := s.Design("comm3", m); err == nil {
 		t.Error("3-mode comm-aware accepted")
 	}
-	if _, err := s.CommAwareDesign(m, 4); err != nil {
+	if _, err := s.Design("comm4", nil); err == nil {
+		t.Error("comm-aware design without traffic accepted")
+	}
+	if _, err := s.Design("comm4", m); err != nil {
 		t.Errorf("4-mode failed: %v", err)
 	}
 }
@@ -141,7 +147,7 @@ func TestWithMappingValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.BroadcastDesign()
+	d, err := s.Design("base", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +175,7 @@ func TestDriveTableExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.CommAwareDesign(m, 2)
+	d, err := s.Design("comm2", m)
 	if err != nil {
 		t.Fatal(err)
 	}

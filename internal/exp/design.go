@@ -8,11 +8,12 @@ import (
 	"mnoc/internal/power"
 	"mnoc/internal/runner/artifact"
 	"mnoc/internal/topo"
+	"mnoc/internal/trace"
 	"mnoc/internal/workload"
 )
 
-// Design kinds accepted by DesignNetwork. Each names one of the
-// paper's evaluated power-topology families and maps onto the exact
+// Design kinds accepted by BuildDesign and DesignNetwork: the paper's
+// six evaluated power-topology families. Each maps onto the exact
 // artifact-cache key the figure experiments use, so a server solve and
 // a bench run share cached networks.
 const (
@@ -37,8 +38,54 @@ var designKeys = map[string]string{
 	DesignComm2: "2M_G_S12", DesignComm4: "4M_G_S12",
 }
 
+// BuildDesign designs the named kind's splitters on cfg's crossbar.
+// The communication-aware kinds are fitted to traffic, a core-indexed
+// matrix that picks their mode partitions and weights their splitters;
+// the other kinds ignore it and weight their modes uniformly. The
+// topologies are labelled 1M, 2M_N, 4M_N, 2M_cluster4, 2M_G and 4M_G.
+func BuildDesign(cfg power.Config, kind string, traffic *trace.Matrix) (*power.MNoC, error) {
+	return buildDesign(cfg, kind, traffic, "")
+}
+
+// buildDesign is BuildDesign with the name of the traffic sample
+// appended to the communication-aware labels (DesignNetwork's
+// 2M_G_S12).
+func buildDesign(cfg power.Config, kind string, traffic *trace.Matrix, sample string) (*power.MNoC, error) {
+	var t *topo.Topology
+	var err error
+	switch kind {
+	case DesignBase:
+		return power.NewBaseMNoC(cfg)
+	case DesignDist2:
+		t, err = topo.DistanceModes(cfg.N, 2)
+	case DesignDist4:
+		t, err = topo.DistanceModes(cfg.N, 4)
+	case DesignCluster2:
+		t, err = topo.Clustered(cfg.N, 4)
+	case DesignComm2, DesignComm4:
+		if traffic == nil {
+			return nil, fmt.Errorf("exp: design %s needs traffic to fit", kind)
+		}
+		modes := 2
+		if kind == DesignComm4 {
+			modes = 4
+		}
+		if t, err = topo.CommAwareModes(traffic, cfg.Splitter, modes, fmt.Sprintf("%dM_G%s", modes, sample)); err != nil {
+			return nil, err
+		}
+		return power.NewMNoC(cfg, t, power.SampledWeighting(traffic))
+	default:
+		return nil, fmt.Errorf("exp: unknown design kind %q (want one of %v)", kind, DesignKinds())
+	}
+	if err != nil {
+		return nil, err
+	}
+	return power.NewMNoC(cfg, t, power.UniformWeighting(t.Modes))
+}
+
 // DesignNetwork builds (or loads from the artifact cache) the named
-// power-topology design at the context's scale. The kind names reuse
+// power-topology design at the context's scale, fitting the
+// communication-aware kinds to the S12 sample. The kind names reuse
 // the figure experiments' cache keys, so a network solved here is a
 // warm hit for `mnoc bench` and vice versa.
 func (c *Context) DesignNetwork(ctx context.Context, kind string) (*power.MNoC, error) {
@@ -49,28 +96,20 @@ func (c *Context) DesignNetwork(ctx context.Context, kind string) (*power.MNoC, 
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown design kind %q (want one of %v)", kind, DesignKinds())
 	}
-	// A warm network returns here, before the builders below allocate.
+	// A warm network returns here, before the build closure allocates.
 	if net, ok := memoized[*power.MNoC](ctx, c, memoKey{artifact.KindNetwork, key}); ok {
 		return net, nil
 	}
-	n := c.Opt.N
-	switch kind {
-	case DesignDist2:
-		return distanceNet(ctx, c, key, halves(n), power.UniformWeighting(2))
-	case DesignDist4:
-		return distanceNet(ctx, c, key, quarters(n), power.UniformWeighting(4))
-	case DesignCluster2:
-		return c.network(ctx, key, func(context.Context) (*power.MNoC, error) {
-			t, err := topo.Clustered(n, 4)
-			if err != nil {
-				return nil, err
-			}
-			return power.NewMNoC(c.Cfg, t, power.UniformWeighting(2))
-		})
-	case DesignComm2:
-		return commAwareNet(ctx, c, key, 2, workload.Names())
-	}
-	return commAwareNet(ctx, c, key, 4, workload.Names())
+	return c.network(ctx, key, func(ctx context.Context) (*power.MNoC, error) {
+		if kind != DesignComm2 && kind != DesignComm4 {
+			return BuildDesign(c.Cfg, kind, nil)
+		}
+		s12, err := c.SampledMatrix(ctx, workload.Names())
+		if err != nil {
+			return nil, err
+		}
+		return buildDesign(c.Cfg, kind, s12, "_S12")
+	})
 }
 
 // EvaluateDesign solves the named design and evaluates it on one

@@ -6,6 +6,7 @@ import (
 	"mnoc/internal/power"
 	"mnoc/internal/runner/artifact"
 	"mnoc/internal/telemetry"
+	"mnoc/internal/trace"
 )
 
 // repriceReference is the composition EvaluateDesignLoss replaced:
@@ -161,6 +162,35 @@ func TestEvaluateDesignLossCountsDesignOnly(t *testing.T) {
 		}
 		if got := evals.Value() - before; got != tc.want {
 			t.Errorf("warm %s call added %d power.evaluations, want %d", tc.model, got, tc.want)
+		}
+	}
+}
+
+// TestBuildDesignSmallRadices drives every kind through BuildDesign at
+// radices 2 to 9. Each case either returns an error or a design whose
+// topology validates; none may panic. A 2-node comm2 design used to:
+// its partition sweep has no cut with a destination in each mode.
+func TestBuildDesignSmallRadices(t *testing.T) {
+	for n := 2; n <= 9; n++ {
+		traffic := trace.NewMatrix(n)
+		for s := range n {
+			for d := range n {
+				if s != d {
+					traffic.Counts[s][d] = float64(1 + (5*s+d)%7)
+				}
+			}
+		}
+		for _, kind := range DesignKinds() {
+			net, err := BuildDesign(power.DefaultConfig(n), kind, traffic)
+			if err != nil {
+				if kind == DesignBase || (kind == DesignComm2 && n >= 3) {
+					t.Errorf("n=%d %s: %v", n, kind, err)
+				}
+				continue
+			}
+			if err := net.Topology.Validate(); err != nil {
+				t.Errorf("n=%d %s: topology invalid: %v", n, kind, err)
+			}
 		}
 	}
 }

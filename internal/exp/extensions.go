@@ -67,7 +67,7 @@ func Conventional(ctx context.Context, c *Context) (*Table, error) {
 			r, ccols := meshDims(n)
 			return topo.Mesh2D(r, ccols, 4)
 		}},
-		{"distance4", func() (*topo.Topology, error) { return topo.DistanceBased(n, quarters(n)) }},
+		{"distance4", func() (*topo.Topology, error) { return topo.DistanceModes(n, 4) }},
 	}
 	t := &Table{
 		ID:     "conventional",
@@ -184,11 +184,7 @@ func Dynamic(ctx context.Context, c *Context) (*Table, error) {
 	for i := range tr.Packets {
 		tr.Packets[i].Flits *= 16 // cache-line bursts
 	}
-	tp, err := topo.DistanceBased(n, halves(n))
-	if err != nil {
-		return nil, fmt.Errorf("exp: dynamic: topology: %w", err)
-	}
-	net, err := power.NewMNoC(c.Cfg, tp, power.UniformWeighting(2))
+	net, err := BuildDesign(c.Cfg, DesignDist2, nil)
 	if err != nil {
 		return nil, fmt.Errorf("exp: dynamic: network: %w", err)
 	}

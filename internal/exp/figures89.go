@@ -20,48 +20,9 @@ type designSpec struct {
 	build func(ctx context.Context, c *Context) (*power.MNoC, error)
 }
 
-// halves returns the 2-mode distance partition (the paper's "128
-// closest destinations") scaled to n.
-func halves(n int) []int { return []int{n / 2, n - 1 - n/2} }
-
-// quarters returns the 4-mode distance partition ("groups of 64 nearest
-// nodes") scaled to n.
-func quarters(n int) []int {
-	q := n / 4
-	return []int{q, q, q, n - 1 - 3*q}
-}
-
-func distanceNet(ctx context.Context, c *Context, key string, groups []int, w power.Weighting) (*power.MNoC, error) {
-	return c.network(ctx, key, func(context.Context) (*power.MNoC, error) {
-		t, err := topo.DistanceBased(c.Opt.N, groups)
-		if err != nil {
-			return nil, err
-		}
-		return power.NewMNoC(c.Cfg, t, w)
-	})
-}
-
-// commAwareNet is the communication-aware design over the named
-// benchmarks' sampled traffic: the exact binary-partition sweep for 2
-// modes, the best-scored candidate partition for 4, with sampled
-// splitter weights. 4M_G_S12 is the paper's best overall design.
-func commAwareNet(ctx context.Context, c *Context, key string, modes int, sample []string) (*power.MNoC, error) {
-	return c.network(ctx, key, func(ctx context.Context) (*power.MNoC, error) {
-		s, err := c.SampledMatrix(ctx, sample)
-		if err != nil {
-			return nil, err
-		}
-		var t *topo.Topology
-		if modes == 2 {
-			t, err = topo.CommAware2Mode(s, c.Cfg.Splitter, key)
-		} else {
-			t, err = topo.BestScoredPartition(s, c.Cfg.Splitter, topo.CandidatePartitions4(c.Opt.N), key)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return power.NewMNoC(c.Cfg, t, power.SampledWeighting(s))
-	})
+// designed is the designSpec build of a named design kind.
+func designed(kind string) func(context.Context, *Context) (*power.MNoC, error) {
+	return func(ctx context.Context, c *Context) (*power.MNoC, error) { return c.DesignNetwork(ctx, kind) }
 }
 
 // evaluateSpecs runs every spec over every benchmark and returns a table
@@ -123,17 +84,14 @@ func evaluateSpecs(ctx context.Context, c *Context, id, title string, specs []de
 // Fig8 reproduces Figure 8: distance-based power topologies with and
 // without QAP thread mapping, normalized to the single-mode base mNoC.
 func Fig8(ctx context.Context, c *Context) (*Table, error) {
-	design := func(kind string) func(context.Context, *Context) (*power.MNoC, error) {
-		return func(ctx context.Context, c *Context) (*power.MNoC, error) { return c.DesignNetwork(ctx, kind) }
-	}
 	specs := []designSpec{
-		{"1M", false, design(DesignBase)},
-		{"1M_T", true, design(DesignBase)},
-		{"2M_N_U", false, design(DesignDist2)},
-		{"2M_T_N_U", true, design(DesignDist2)},
-		{"4M_N_U", false, design(DesignDist4)},
-		{"4M_T_N_U", true, design(DesignDist4)},
-		{"2M_C_U", false, design(DesignCluster2)},
+		{"1M", false, designed(DesignBase)},
+		{"1M_T", true, designed(DesignBase)},
+		{"2M_N_U", false, designed(DesignDist2)},
+		{"2M_T_N_U", true, designed(DesignDist2)},
+		{"4M_N_U", false, designed(DesignDist4)},
+		{"4M_T_N_U", true, designed(DesignDist4)},
+		{"2M_C_U", false, designed(DesignCluster2)},
 	}
 	return evaluateSpecs(ctx, c, "fig8",
 		"Distance-based power topologies ± QAP thread mapping (normalized mNoC power)",
@@ -149,7 +107,6 @@ func Fig8(ctx context.Context, c *Context) (*Table, error) {
 // radix, raytrace, water_s; S12 = all benchmarks), all with QAP
 // mapping.
 func Fig9(ctx context.Context, c *Context) (*Table, error) {
-	n := c.Opt.N
 	s4, err := c.SampledMatrix(ctx, workload.SampleS4)
 	if err != nil {
 		return nil, err
@@ -158,25 +115,31 @@ func Fig9(ctx context.Context, c *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	commAware := func(key string, sample []string, modes int) func(context.Context, *Context) (*power.MNoC, error) {
+	// network caches build's network under key; the S12
+	// communication-aware designs are DesignNetwork's.
+	network := func(key string, build func() (*power.MNoC, error)) func(context.Context, *Context) (*power.MNoC, error) {
 		return func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return commAwareNet(ctx, c, key, modes, sample)
+			return c.network(ctx, key, func(context.Context) (*power.MNoC, error) { return build() })
 		}
 	}
-	distSampledNet := func(key string, sample *trace.Matrix, groups []int) func(context.Context, *Context) (*power.MNoC, error) {
-		return func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return distanceNet(ctx, c, key, groups, power.SampledWeighting(sample))
+	distance := func(modes int, sample *trace.Matrix) func() (*power.MNoC, error) {
+		return func() (*power.MNoC, error) {
+			t, err := topo.DistanceModes(c.Opt.N, modes)
+			if err != nil {
+				return nil, err
+			}
+			return power.NewMNoC(c.Cfg, t, power.SampledWeighting(sample))
 		}
 	}
 	specs := []designSpec{
-		{"2M_T_N_S4", true, distSampledNet("2M_N_S4", s4, halves(n))},
-		{"2M_T_G_S4", true, commAware("2M_G_S4", workload.SampleS4, 2)},
-		{"2M_T_N_S12", true, distSampledNet("2M_N_S12", s12, halves(n))},
-		{"2M_T_G_S12", true, commAware("2M_G_S12", workload.Names(), 2)},
-		{"4M_T_N_S4", true, distSampledNet("4M_N_S4", s4, quarters(n))},
-		{"4M_T_G_S4", true, commAware("4M_G_S4", workload.SampleS4, 4)},
-		{"4M_T_N_S12", true, distSampledNet("4M_N_S12", s12, quarters(n))},
-		{"4M_T_G_S12", true, commAware("4M_G_S12", workload.Names(), 4)},
+		{"2M_T_N_S4", true, network("2M_N_S4", distance(2, s4))},
+		{"2M_T_G_S4", true, network("2M_G_S4", func() (*power.MNoC, error) { return buildDesign(c.Cfg, DesignComm2, s4, "_S4") })},
+		{"2M_T_N_S12", true, network("2M_N_S12", distance(2, s12))},
+		{"2M_T_G_S12", true, designed(DesignComm2)},
+		{"4M_T_N_S4", true, network("4M_N_S4", distance(4, s4))},
+		{"4M_T_G_S4", true, network("4M_G_S4", func() (*power.MNoC, error) { return buildDesign(c.Cfg, DesignComm4, s4, "_S4") })},
+		{"4M_T_N_S12", true, network("4M_N_S12", distance(4, s12))},
+		{"4M_T_G_S12", true, designed(DesignComm4)},
 	}
 	return evaluateSpecs(ctx, c, "fig9",
 		"Communication-aware vs distance-based mode assignment (normalized mNoC power)",

@@ -180,19 +180,8 @@ func randomAssignment(n int, rng *rand.Rand) mapping.Assignment {
 }
 
 func designFor(cfg power.Config, mapped *trace.Matrix, opt Options) (*topo.Topology, error) {
-	switch opt.Family {
-	case Distance:
-		n := cfg.N
-		if opt.Modes == 2 {
-			return topo.DistanceBased(n, []int{n / 2, n - 1 - n/2})
-		}
-		q := n / 4
-		return topo.DistanceBased(n, []int{q, q, q, n - 1 - 3*q})
-	default:
-		if opt.Modes == 2 {
-			return topo.CommAware2Mode(mapped, cfg.Splitter, "joint2")
-		}
-		return topo.BestScoredPartition(mapped, cfg.Splitter,
-			topo.CandidatePartitions4(cfg.N), "joint4")
+	if opt.Family == Distance {
+		return topo.DistanceModes(cfg.N, opt.Modes)
 	}
+	return topo.CommAwareModes(mapped, cfg.Splitter, opt.Modes, fmt.Sprintf("joint%d", opt.Modes))
 }

@@ -184,6 +184,22 @@ func DistanceBased(n int, groupSizes []int) (*Topology, error) {
 	return t, nil
 }
 
+// DistanceModes builds the paper's evaluated distance-based topologies
+// scaled to n nodes: for 2 modes the nearest half of the destinations
+// share the low mode (the paper's "128 closest destinations"), for 4
+// they form groups of a quarter each, nearest first ("groups of 64
+// nearest nodes").
+func DistanceModes(n, modes int) (*Topology, error) {
+	switch modes {
+	case 2:
+		return DistanceBased(n, []int{n / 2, n - 1 - n/2})
+	case 4:
+		q := n / 4
+		return DistanceBased(n, []int{q, q, q, n - 1 - 3*q})
+	}
+	return nil, fmt.Errorf("topo: distance-based designs have 2 or 4 modes, got %d", modes)
+}
+
 // byDistance lists all destinations of source s ordered by |d−s|
 // (ties broken toward the lower index, deterministically).
 func byDistance(n, s int) []int {
@@ -232,6 +248,10 @@ func CommAware2Mode(m *trace.Matrix, p splitter.Params, name string) (*Topology,
 		return nil, fmt.Errorf("topo: matrix size %d vs layout %d", m.N, p.Layout.N)
 	}
 	n := m.N
+	if n < 3 {
+		// The sweep needs a destination in each mode.
+		return nil, fmt.Errorf("topo: a 2-mode communication-aware design needs at least 3 nodes, got %d", n)
+	}
 	t := New(n, 2, name)
 	path := p.Layout.PathTransmissions()
 	for s := 0; s < n; s++ {
@@ -419,6 +439,20 @@ func BestScoredPartition(m *trace.Matrix, p splitter.Params, candidates [][]int,
 		}
 	}
 	return best, nil
+}
+
+// CommAwareModes builds the communication-aware topology the paper
+// evaluates for the given mode count: the exact binary-partition sweep
+// (CommAware2Mode) for 2 modes, the best-scored candidate partition
+// (BestScoredPartition over CandidatePartitions4) for 4.
+func CommAwareModes(m *trace.Matrix, p splitter.Params, modes int, name string) (*Topology, error) {
+	switch modes {
+	case 2:
+		return CommAware2Mode(m, p, name)
+	case 4:
+		return BestScoredPartition(m, p, CandidatePartitions4(m.N), name)
+	}
+	return nil, fmt.Errorf("topo: communication-aware designs have 2 or 4 modes, got %d", modes)
 }
 
 // byBenefit orders destinations of s by descending frequency×transmission

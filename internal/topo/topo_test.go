@@ -497,3 +497,29 @@ func TestBestScoredPartitionPicksLowestPower(t *testing.T) {
 		t.Error("empty candidate set accepted")
 	}
 }
+
+// The paper's design builders take 2 or 4 modes, and the 2-mode sweep
+// needs a destination for each mode.
+func TestPaperModeBuildersRejections(t *testing.T) {
+	m := skewedMatrix(16, 3)
+	p := splitter.DefaultParams(16)
+	if _, err := DistanceModes(16, 3); err == nil {
+		t.Error("3-mode distance design accepted")
+	}
+	if _, err := CommAwareModes(m, p, 3, "x"); err == nil {
+		t.Error("3-mode communication-aware design accepted")
+	}
+	if _, err := CommAware2Mode(trace.NewMatrix(2), splitter.DefaultParams(2), "x"); err == nil {
+		t.Error("2-node communication-aware design accepted")
+	}
+	for _, modes := range []int{2, 4} {
+		d, err := DistanceModes(16, modes)
+		if err != nil || d.Modes != modes {
+			t.Errorf("%d-mode distance design: %v", modes, err)
+		}
+		c, err := CommAwareModes(m, p, modes, "x")
+		if err != nil || c.Modes != modes {
+			t.Errorf("%d-mode communication-aware design: %v", modes, err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -24,8 +25,8 @@ func (m *Matrix) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a square CSV traffic matrix: N rows of N non-negative
-// values with a zero diagonal. It is how externally profiled traffic
+// ReadCSV parses a square CSV traffic matrix: N rows of N finite,
+// non-negative values with a zero diagonal. It is how externally profiled traffic
 // (e.g. from a real Graphite deployment) enters the library.
 func ReadCSV(r io.Reader) (*Matrix, error) {
 	cr := csv.NewReader(r)
@@ -47,6 +48,9 @@ func ReadCSV(r io.Reader) (*Matrix, error) {
 			v, err := strconv.ParseFloat(field, 64)
 			if err != nil {
 				return nil, fmt.Errorf("trace: CSV cell (%d,%d): %w", i, j, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("trace: CSV cell (%d,%d) is not finite", i, j)
 			}
 			if v < 0 {
 				return nil, fmt.Errorf("trace: CSV cell (%d,%d) is negative", i, j)

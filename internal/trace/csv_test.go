@@ -31,6 +31,10 @@ func TestReadCSVRejections(t *testing.T) {
 		"ragged":        "0,1\n1\n",
 		"non-square":    "0,1,2\n1,0,2\n",
 		"negative":      "0,-1\n1,0\n",
+		"NaN":           "0,NaN\n1,0\n",
+		"Inf":           "0,1\n+Inf,0\n",
+		"-Inf":          "0,-Inf\n1,0\n",
+		"NaN diagonal":  "NaN,1\n1,0\n",
 		"diagonal":      "1,1\n1,0\n",
 		"non-numeric":   "0,x\n1,0\n",
 		"empty":         "",

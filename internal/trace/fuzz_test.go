@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -45,6 +47,40 @@ func FuzzRead(f *testing.F) {
 		}
 		if back.N != tr.N || back.Cycles != tr.Cycles || len(back.Packets) != len(tr.Packets) {
 			t.Fatal("round trip changed the trace")
+		}
+	})
+}
+
+// FuzzReadCSV feeds the CSV matrix reader behind `mnoc power -matrix`
+// arbitrary text: it must never panic, and a matrix it accepts must be
+// square, finite and non-negative with a zero diagonal.
+func FuzzReadCSV(f *testing.F) {
+	f.Add("0,2,3\n4,0,5\n6,7,0\n")
+	f.Add("0,1e308\n1e-300,0\n")
+	f.Add("0,NaN\n1,0\n")
+	f.Add("0,+Inf\n1,0\n")
+	f.Add("0,-1\n1,0\n")
+	f.Add("0,0x1p3\n1_0,0\n")
+	f.Add("\"0\",1\n1,0\n")
+	f.Add("0,1\n1\n")
+
+	f.Fuzz(func(t *testing.T, data string) {
+		m, err := ReadCSV(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		if m.N < 2 || len(m.Counts) != m.N {
+			t.Fatalf("accepted a %d-row matrix with N = %d", len(m.Counts), m.N)
+		}
+		for i, row := range m.Counts {
+			if len(row) != m.N {
+				t.Fatalf("row %d has %d cells, want %d", i, len(row), m.N)
+			}
+			for j, v := range row {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || (i == j && v != 0) {
+					t.Fatalf("accepted cell (%d,%d) = %v", i, j, v)
+				}
+			}
 		}
 	})
 }
