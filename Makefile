@@ -128,7 +128,7 @@ metrics-check:
 		> /tmp/mnoc_adapt_metrics_names.txt
 	diff -u testdata/golden/metrics_names_adapt.txt /tmp/mnoc_adapt_metrics_names.txt
 
-# Short seeded fuzz passes (eleven targets, 10 s each) over the
+# Short seeded fuzz passes (twelve targets, 10 s each) over the
 # text-format parsers (including the mnoc-adapt-trace v1 reader behind
 # replay -trace and serve -adapt-trace, and the `go test -bench` reader
 # behind `mnoc benchjson emit`), the trace readers (the binary reader
@@ -137,7 +137,9 @@ metrics-check:
 # serve-path request decoder (every body is either accepted or refused
 # with a 400 JSON error envelope), and the MART artifact envelope and
 # codecs (disk caches and PUT /artifacts/<key> bytes decode or error,
-# never panic). CI runs this.
+# never panic), plus a differential pass over power.EvaluateLoss (the
+# pricing-plan walk equals the per-cell reference bit for bit on random
+# small networks). CI runs this.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDBLinearRoundTrip -fuzztime=10s ./internal/phys
 	$(GO) test -run=^$$ -fuzz=FuzzLossTransmissionRoundTrip -fuzztime=10s ./internal/phys
@@ -150,6 +152,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePost -fuzztime=10s ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzOpenEnvelope -fuzztime=10s ./internal/runner/artifact
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/benchjson
+	$(GO) test -run=^$$ -fuzz=FuzzEvaluateLoss -fuzztime=10s ./internal/power
 
 # ---- Performance baseline (docs/BENCH.md) ----------------------------
 
@@ -157,10 +160,11 @@ fuzz:
 # splitter solve/recurrence, the α search (3, 4 and 8 modes), QAP
 # mapping (radix 64 and 256), the dynamic controller's migration scan,
 # multicore-sim construction and run,
-# power evaluation, the typed-unit inner loops, trace replay (plain and
+# power evaluation (radix 256, plus per design kind, radix and loss
+# model), the typed-unit inner loops, trace replay (plain and
 # with telemetry, radix 16 to 256), and the serve-path writeJSON
 # encode and request decode.
-BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkOptimalAlphas|BenchmarkQAPTaboo|BenchmarkQAPTaboo256|BenchmarkDynamicMigrationScan|BenchmarkPowerEvaluate|BenchmarkNoCReplay|BenchmarkNoCReplayObserved|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkPowerEvalTyped|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
+BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkOptimalAlphas|BenchmarkQAPTaboo|BenchmarkQAPTaboo256|BenchmarkDynamicMigrationScan|BenchmarkPowerEvaluate|BenchmarkPowerEvaluateKinds|BenchmarkNoCReplay|BenchmarkNoCReplayObserved|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkPowerEvalTyped|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
 BENCH_PKGS = . ./internal/dynamic ./internal/phys ./internal/server
 BENCH_DATE ?= $(shell date -u +%Y-%m-%d)
 BENCH_FILE ?= BENCH_$(BENCH_DATE).json

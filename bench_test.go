@@ -219,10 +219,51 @@ func BenchmarkPowerEvaluate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// The first call builds the network's pricing plan.
+	if _, err := net.Evaluate(m, 1e6); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := net.Evaluate(m, 1e6); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPowerEvaluateKinds measures one instrumented EvaluateLoss
+// (the serve path's call) per design kind, radix and loss model, on
+// the ocean_c matrix the kinds' communication-aware fits also use. The
+// kinds span the pricing plan's shapes: a handful of mode runs per
+// source (base, dist2, dist4, cluster2) up to about two destinations
+// per run (comm4 at radix 256).
+func BenchmarkPowerEvaluateKinds(b *testing.B) {
+	for _, n := range []int{64, 256} {
+		m, err := workload.All()[2].Matrix(n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, kind := range []string{exp.DesignBase, exp.DesignDist2, exp.DesignDist4, exp.DesignCluster2, exp.DesignComm4} {
+			net, err := exp.BuildDesign(power.DefaultConfig(n), kind, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			net.Instrument(telemetry.NewRegistry())
+			for _, model := range []power.LossModel{power.LossAverage, power.LossWorst} {
+				b.Run(fmt.Sprintf("n=%d/kind=%s/loss=%s", n, kind, model), func(b *testing.B) {
+					// The first call builds the network's pricing plan.
+					if _, err := net.EvaluateLoss(m, 1e6, model); err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := net.EvaluateLoss(m, 1e6, model); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

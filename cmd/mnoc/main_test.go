@@ -65,6 +65,9 @@ func TestExitCodes(t *testing.T) {
 		{"unknown power kind", []string{"power", "-matrix", twoNodes, "-kind", "nosuch"}, 1, "", `mnoc power: unknown kind "nosuch" (want one of ` + kinds + ")"},
 		{"2-node comm2 topo", []string{"topo", "-n", "2", "-kind", "comm2"}, 1, "", "needs at least 3 nodes, got 2"},
 		{"2-node comm2 power", []string{"power", "-matrix", twoNodes, "-kind", "comm2"}, 1, "", "needs at least 3 nodes, got 2"},
+		{"4-node dist4 topo", []string{"topo", "-n", "4", "-kind", "dist4"}, 1, "", "a 4-mode distance-based design needs at least 5 nodes, got 4"},
+		{"3-node comm4 topo", []string{"topo", "-n", "3", "-kind", "comm4"}, 1, "", "a 4-mode communication-aware design needs at least 5 nodes, got 3"},
+		{"4-node cluster2 topo", []string{"topo", "-n", "4", "-kind", "cluster2"}, 1, "", "4 nodes fit in one cluster of 4"},
 		{"unknown network", []string{"sim", "-net", "nosuch"}, 1, "", `mnoc sim: unknown network "nosuch"`},
 		{"benchjson without verb", []string{"benchjson"}, 2, "", "mnoc benchjson emit"},
 		{"benchjson check without -current", []string{"benchjson", "check"}, 2, "", "mnoc benchjson check"},

@@ -127,8 +127,8 @@ func (c *Context) EvaluateDesign(ctx context.Context, kind, bench string, mapped
 // normalisation compares like with like (worst-case design against
 // worst-case broadcast). LossAverage reproduces EvaluateDesign exactly.
 // The artifact cache is untouched by the model: each network prices
-// LossWorst from its own worst-case table (power.MNoC.EvaluateLoss),
-// built once per network on first use, and the base network's watts
+// each model from its own pricing plan (power.MNoC.EvaluateLoss),
+// built once per network and model on first use, and the base network's watts
 // are memoised per (bench, model), so a warm call costs one
 // EvaluateLoss of the design.
 func (c *Context) EvaluateDesignLoss(ctx context.Context, kind, bench string, mapped bool, model power.LossModel) (power.Breakdown, float64, error) {

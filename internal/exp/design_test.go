@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"mnoc/internal/power"
@@ -89,7 +91,7 @@ func TestEvaluateDesignLossMatchesReprice(t *testing.T) {
 // TestEvaluateDesignLossWarmAllocs pins the allocations of a warm
 // /v1/evaluate loss_model=worst request's exp calls, EvaluateDesignLoss
 // plus Performance. Every accessor hits the memo by a comparable key
-// and both networks price from their worst-case tables, so the count
+// and both networks price from their worst-case pricing plans, so the count
 // is zero; a regression (a hashed memo key, a per-call repricing)
 // shows up here before it shows up in perfbench.
 func TestEvaluateDesignLossWarmAllocs(t *testing.T) {
@@ -167,10 +169,30 @@ func TestEvaluateDesignLossCountsDesignOnly(t *testing.T) {
 }
 
 // TestBuildDesignSmallRadices drives every kind through BuildDesign at
-// radices 2 to 9. Each case either returns an error or a design whose
-// topology validates; none may panic. A 2-node comm2 design used to:
-// its partition sweep has no cut with a destination in each mode.
+// radices 2 to 9. Each case either returns the error that names its
+// radix and mode count, or a design whose topology validates and whose
+// every mode reaches at least one destination of every source; none
+// may panic. A 2-node comm2 design used to panic, 4-node dist4/comm4
+// designs failed with a bare "non-positive group size 0", and a 4-node
+// cluster2 design had a high mode that reached nobody.
 func TestBuildDesignSmallRadices(t *testing.T) {
+	wantErr := func(kind string, n int) string {
+		switch {
+		case kind == DesignDist2 && n < 3:
+			return fmt.Sprintf("a 2-mode distance-based design needs at least 3 nodes, got %d", n)
+		case kind == DesignComm2 && n < 3:
+			return fmt.Sprintf("a 2-mode communication-aware design needs at least 3 nodes, got %d", n)
+		case kind == DesignDist4 && n < 5:
+			return fmt.Sprintf("a 4-mode distance-based design needs at least 5 nodes, got %d", n)
+		case kind == DesignComm4 && n < 5:
+			return fmt.Sprintf("a 4-mode communication-aware design needs at least 5 nodes, got %d", n)
+		case kind == DesignCluster2 && n <= 4:
+			return fmt.Sprintf("%d nodes fit in one cluster of 4", n)
+		case kind == DesignCluster2 && n%4 != 0:
+			return fmt.Sprintf("cluster size 4 does not divide %d nodes", n)
+		}
+		return ""
+	}
 	for n := 2; n <= 9; n++ {
 		traffic := trace.NewMatrix(n)
 		for s := range n {
@@ -182,14 +204,25 @@ func TestBuildDesignSmallRadices(t *testing.T) {
 		}
 		for _, kind := range DesignKinds() {
 			net, err := BuildDesign(power.DefaultConfig(n), kind, traffic)
-			if err != nil {
-				if kind == DesignBase || (kind == DesignComm2 && n >= 3) {
-					t.Errorf("n=%d %s: %v", n, kind, err)
+			if want := wantErr(kind, n); want != "" {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("n=%d %s: error %v, want %q", n, kind, err, want)
 				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("n=%d %s: %v", n, kind, err)
 				continue
 			}
 			if err := net.Topology.Validate(); err != nil {
 				t.Errorf("n=%d %s: topology invalid: %v", n, kind, err)
+			}
+			for s := range n {
+				for mode, size := range net.Topology.ModeSizes(s) {
+					if size == 0 {
+						t.Errorf("n=%d %s: source %d's mode %d reaches nobody", n, kind, s, mode)
+					}
+				}
 			}
 		}
 	}

@@ -7,6 +7,7 @@
 package power
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -14,26 +15,18 @@ import (
 	"mnoc/internal/topo"
 )
 
-func evaluateFixture(t *testing.T, n int) (*MNoC, func() *MNoC) {
+func evaluateFixture(t *testing.T, n int) *MNoC {
 	t.Helper()
-	cfg := DefaultConfig(n)
-	base, err := NewBaseMNoC(cfg)
+	m, err := NewBaseMNoC(DefaultConfig(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := func() *MNoC {
-		m, err := NewBaseMNoC(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	return base, fresh
+	return m
 }
 
 func TestEvaluateUninstrumentedAllocFree(t *testing.T) {
 	n := 32
-	m, _ := evaluateFixture(t, n)
+	m := evaluateFixture(t, n)
 	mtx := uniformMatrix(n, 10)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := m.Evaluate(mtx, 10000); err != nil {
@@ -47,7 +40,7 @@ func TestEvaluateUninstrumentedAllocFree(t *testing.T) {
 
 func TestEvaluateInstrumentedStaysCheap(t *testing.T) {
 	n := 32
-	m, _ := evaluateFixture(t, n)
+	m := evaluateFixture(t, n)
 	m.Instrument(telemetry.NewRegistry())
 	mtx := uniformMatrix(n, 10)
 	// Warm the handle cache and the scratch pool.
@@ -74,7 +67,7 @@ func TestEvaluateInstrumentedStaysCheap(t *testing.T) {
 // serial reference and the evaluation counter must see every call.
 func TestEvaluateInstrumentedConcurrent(t *testing.T) {
 	n := 32
-	m, _ := evaluateFixture(t, n)
+	m := evaluateFixture(t, n)
 	reg := telemetry.NewRegistry()
 	m.Instrument(reg)
 	mtx := uniformMatrix(n, 10)
@@ -155,11 +148,11 @@ func TestInstrumentReregisters(t *testing.T) {
 
 // TestEvaluateLossWorstSkipsTelemetry checks that a worst-case
 // evaluation reports to no metric sink, as the repriced view it
-// replaces never did, and that once its table is built it is as
+// replaces never did, and that once its pricing plan is built it is as
 // allocation-free as the uninstrumented average path.
 func TestEvaluateLossWorstSkipsTelemetry(t *testing.T) {
 	n := 32
-	m, _ := evaluateFixture(t, n)
+	m := evaluateFixture(t, n)
 	reg := telemetry.NewRegistry()
 	m.Instrument(reg)
 	mtx := uniformMatrix(n, 10)
@@ -181,19 +174,47 @@ func TestEvaluateLossWorstSkipsTelemetry(t *testing.T) {
 
 // TestEvaluateLossWorstFirstUseConcurrent has eight goroutines make
 // the first worst-case EvaluateLoss call on one fresh network at once
-// (the table is built and published under that race); every result
-// must equal a serial reference taken on a separate network.
+// (its average and worst-case pricing plans are built and published
+// under that race); every result must equal a serial reference taken
+// on a separate network.
 func TestEvaluateLossWorstFirstUseConcurrent(t *testing.T) {
-	n := 32
-	ref, fresh := evaluateFixture(t, n)
-	mtx := uniformMatrix(n, 10)
-	want, err := ref.EvaluateLoss(mtx, 10000, LossWorst)
+	firstUseConcurrent(t, LossWorst)
+}
+
+// TestEvaluateLossAverageFirstUseConcurrent is the same race on the
+// average plan of a fresh instrumented network: the breakdowns must
+// match the serial reference, and the evaluation counter and per-mode
+// source sums must equal those of the same calls made serially.
+func TestEvaluateLossAverageFirstUseConcurrent(t *testing.T) {
+	firstUseConcurrent(t, LossAverage)
+}
+
+func firstUseConcurrent(t *testing.T, model LossModel) {
+	const n, workers = 32, 8
+	tp, err := topo.DistanceBased(n, []int{8, 8, 8, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := func(reg *telemetry.Registry) *MNoC {
+		m, err := NewMNoC(DefaultConfig(n), tp, UniformWeighting(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Instrument(reg)
+		return m
+	}
+	mtx := skewedMatrix(n)
+	serialReg := telemetry.NewRegistry()
+	ref := fresh(serialReg)
+	var want Breakdown
+	for i := 0; i < workers; i++ {
+		if want, err = ref.EvaluateLoss(mtx, 10000, model); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for round := 0; round < 5; round++ {
-		m := fresh()
-		const workers = 8
+		reg := telemetry.NewRegistry()
+		m := fresh(reg)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -202,7 +223,7 @@ func TestEvaluateLossWorstFirstUseConcurrent(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				got, err := m.EvaluateLoss(mtx, 10000, LossWorst)
+				got, err := m.EvaluateLoss(mtx, 10000, model)
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -214,5 +235,14 @@ func TestEvaluateLossWorstFirstUseConcurrent(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
+		if got, want := reg.Counter("power.evaluations").Value(), serialReg.Counter("power.evaluations").Value(); got != want {
+			t.Errorf("round %d: power.evaluations = %d, serial %d", round, got, want)
+		}
+		for k := 0; k < tp.Modes; k++ {
+			name := fmt.Sprintf("power.mode%d.source_uw", k)
+			if got, want := reg.Histogram(name).Sum(), serialReg.Histogram(name).Sum(); got != want {
+				t.Errorf("round %d: %s sums to %v, serial %v", round, name, got, want)
+			}
+		}
 	}
 }

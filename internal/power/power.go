@@ -20,6 +20,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -179,10 +180,37 @@ type MNoC struct {
 	// Evaluate path skips the registry's name lookups.
 	tel  *telemetry.Registry
 	telh atomic.Pointer[telHandles]
-	// worst is the LossWorst price table (worstModePowers): source s's
-	// mode powers are entries [s*modes, (s+1)*modes). Built on the first
-	// worst-case EvaluateLoss and never written after publication.
-	worst atomic.Pointer[[]phys.MicroWatts]
+	// plans[planAverage] and plans[planWorst] are EvaluateLoss's pricing
+	// plans under each loss model (buildPlan), built on first use and
+	// never written after publication.
+	plans [2]atomic.Pointer[pricePlan]
+}
+
+// Indexes of MNoC.plans.
+const (
+	planAverage = iota
+	planWorst
+)
+
+// pricePlan is what EvaluateLoss walks to price a traffic matrix under
+// one loss model. Source s's destinations, the diagonal excluded, are
+// cut into runs of consecutive destinations that share one mode: its
+// runs are runs[rowStart[s]:rowStart[s+1]], each ending (exclusive) at
+// end, and the next run starts where the last ended, one later if that
+// is s itself. Entry s*modes+k of price is the QD LED electrical power
+// (µW) of source s driving mode k, and of reach the number of
+// receivers that mode k lights, as a float64.
+type pricePlan struct {
+	rowStart []int
+	runs     []planRun
+	price    []float64
+	reach    []float64
+}
+
+// planRun is one run of a source's destinations in one mode.
+type planRun struct {
+	end  uint16
+	mode uint8
 }
 
 // telHandles are the pre-resolved metric handles and the per-Evaluate
@@ -445,9 +473,14 @@ func (m *MNoC) Evaluate(mtx *trace.Matrix, cycles float64) (Breakdown, error) {
 
 // EvaluateLoss is Evaluate under an explicit insertion-loss model. It
 // equals WithLossModel(model) followed by Evaluate bit for bit, without
-// building the repriced view: LossWorst reads each source's mode powers
-// from a flat table derived from that view once per network. As with
-// the view, a worst-case evaluation reports to no metric sink.
+// building the repriced view. Each model prices from a plan built once
+// per network on first use (buildPlan): the per-source runs of
+// destinations sharing a mode, and each (source, mode)'s electrical
+// price and receiver count. The loop walks rows, then runs, then cells,
+// so price and reach are constants of a run and the per-mode source
+// draw the telemetry reports accumulates in a register; every sum is
+// added in destination order, as a per-cell walk adds it. As with the
+// view, a worst-case evaluation reports to no metric sink.
 //
 //mnoclint:hot
 func (m *MNoC) EvaluateLoss(mtx *trace.Matrix, cycles float64, model LossModel) (Breakdown, error) {
@@ -457,16 +490,20 @@ func (m *MNoC) EvaluateLoss(mtx *trace.Matrix, cycles float64, model LossModel) 
 	if cycles <= 0 {
 		return Breakdown{}, fmt.Errorf("power: window of %g cycles", cycles)
 	}
-	var worst []phys.MicroWatts
+	which := planAverage
 	switch model {
 	case "", LossAverage:
 	case LossWorst:
-		var err error
-		if worst, err = m.worstModePowers(); err != nil {
-			return Breakdown{}, err
-		}
+		which = planWorst
 	default:
 		return Breakdown{}, fmt.Errorf("power: unknown loss model %q", model)
+	}
+	p := m.plans[which].Load()
+	if p == nil {
+		var err error
+		if p, err = m.buildPlan(which); err != nil {
+			return Breakdown{}, err
+		}
 	}
 	modes := m.Topology.Modes
 	oePerReceiver := float64(m.Cfg.PD.OEPowerUW())
@@ -474,7 +511,7 @@ func (m *MNoC) EvaluateLoss(mtx *trace.Matrix, cycles float64, model LossModel) 
 	var th *telHandles
 	var modeSrc []float64
 	var scratchp *[]float64
-	if m.tel != nil && worst == nil {
+	if m.tel != nil && which == planAverage {
 		th = m.telHandles()
 		scratchp = th.scratch.Get().(*[]float64)
 		modeSrc = *scratchp
@@ -483,23 +520,33 @@ func (m *MNoC) EvaluateLoss(mtx *trace.Matrix, cycles float64, model LossModel) 
 		}
 	}
 	for s, row := range mtx.Counts {
-		powers := m.Designs[s].ModePowerUW
-		if worst != nil {
-			powers = worst[s*modes : (s+1)*modes]
-		}
-		reach := m.modeReach[s]
-		for d, v := range row {
-			if v == 0 || d == s {
-				continue
+		price := p.price[s*modes : (s+1)*modes]
+		reach := p.reach[s*modes : (s+1)*modes]
+		lo := 0
+		for _, r := range p.runs[p.rowStart[s]:p.rowStart[s+1]] {
+			if lo == s {
+				lo++
 			}
-			mode := m.Topology.ModeOf[s][d]
-			src := v * float64(m.Cfg.QDLED.ElectricalPower(powers[mode]))
-			srcSum += src
+			hi := int(r.end)
+			pr, rc := price[r.mode], reach[r.mode]
+			var modeSum float64
 			if modeSrc != nil {
-				modeSrc[mode] += src
+				modeSum = modeSrc[r.mode]
 			}
-			oeSum += v * float64(reach[mode]) * oePerReceiver
-			flits += v
+			for _, v := range row[lo:hi] {
+				if v == 0 {
+					continue
+				}
+				src := v * pr
+				srcSum += src
+				modeSum += src
+				oeSum += v * rc * oePerReceiver
+				flits += v
+			}
+			if modeSrc != nil {
+				modeSrc[r.mode] = modeSum
+			}
+			lo = hi
 		}
 	}
 	// Electrical buffering at the two endpoints of every flit.
@@ -520,28 +567,101 @@ func (m *MNoC) EvaluateLoss(mtx *trace.Matrix, cycles float64, model LossModel) 
 	return b, nil
 }
 
-// worstModePowers returns the LossWorst price table, building it on
-// first use by flattening WithLossModel(LossWorst)'s mode powers; the
-// view itself is dropped. Like telHandles, a race between two first
-// calls at worst builds the (identical) table twice.
-func (m *MNoC) worstModePowers() ([]phys.MicroWatts, error) {
-	if t := m.worst.Load(); t != nil {
-		return *t, nil
+// buildPlan builds and publishes plans[which], returning the published
+// plan. The worst-case plan shares the average plan's runs and reach
+// (building that first if need be) and prices each mode from
+// worstModePowers. Like telHandles, a race between two first calls at
+// worst builds the (identical) plan twice.
+func (m *MNoC) buildPlan(which int) (*pricePlan, error) {
+	base := m.plans[planAverage].Load()
+	if base == nil {
+		var err error
+		if base, err = m.averagePlan(); err != nil {
+			return nil, err
+		}
+		m.plans[planAverage].CompareAndSwap(nil, base)
+		base = m.plans[planAverage].Load()
 	}
+	if which == planAverage {
+		return base, nil
+	}
+	price, err := m.worstModePowers()
+	if err != nil {
+		return nil, err
+	}
+	m.plans[planWorst].CompareAndSwap(nil, &pricePlan{
+		rowStart: base.rowStart, runs: base.runs, price: price, reach: base.reach,
+	})
+	return m.plans[planWorst].Load(), nil
+}
+
+// averagePlan builds the LossAverage plan from the topology, the
+// designed mode powers and the mode reach.
+func (m *MNoC) averagePlan() (*pricePlan, error) {
+	t := m.Topology
+	n, modes := t.N, t.Modes
+	if n > math.MaxUint16 || modes > math.MaxUint8+1 {
+		return nil, fmt.Errorf("power: a pricing plan holds at most %d nodes and %d modes, network has %d and %d",
+			math.MaxUint16, math.MaxUint8+1, n, modes)
+	}
+	p := &pricePlan{
+		rowStart: make([]int, n+1),
+		price:    make([]float64, n*modes),
+		reach:    make([]float64, n*modes),
+	}
+	// A run ends after destination d when d is the row's last, the next
+	// destination is the diagonal, or the next one is in another mode.
+	endsRun := func(row []int, s, d int) bool {
+		return d+1 == n || d+1 == s || row[d+1] != row[d]
+	}
+	total := 0
+	for s, row := range t.ModeOf {
+		for d := range row {
+			if d != s && endsRun(row, s, d) {
+				total++
+			}
+		}
+	}
+	p.runs = make([]planRun, 0, total)
+	for s, row := range t.ModeOf {
+		powers, reach := m.Designs[s].ModePowerUW, m.modeReach[s]
+		if len(powers) != modes || len(reach) != modes {
+			return nil, fmt.Errorf("power: source %d prices %d modes and reaches %d, topology has %d",
+				s, len(powers), len(reach), modes)
+		}
+		for k := range modes {
+			p.price[s*modes+k] = float64(m.Cfg.QDLED.ElectricalPower(powers[k]))
+			p.reach[s*modes+k] = float64(reach[k])
+		}
+		for d, mode := range row {
+			if d != s && endsRun(row, s, d) {
+				p.runs = append(p.runs, planRun{end: uint16(d + 1), mode: uint8(mode)})
+			}
+		}
+		p.rowStart[s+1] = len(p.runs)
+	}
+	return p, nil
+}
+
+// worstModePowers returns the LossWorst electrical price of every
+// (source, mode), entry s*modes+k, derived from
+// WithLossModel(LossWorst)'s mode powers; the view itself is dropped.
+func (m *MNoC) worstModePowers() ([]float64, error) {
 	view, err := m.WithLossModel(LossWorst)
 	if err != nil {
 		return nil, err
 	}
 	modes := m.Topology.Modes
-	table := make([]phys.MicroWatts, len(view.Designs)*modes)
+	table := make([]float64, len(view.Designs)*modes)
 	for s, d := range view.Designs {
 		if len(d.ModePowerUW) != modes {
 			return nil, fmt.Errorf("power: source %d prices %d modes, topology has %d", s, len(d.ModePowerUW), modes)
 		}
-		copy(table[s*modes:], d.ModePowerUW)
+		for k, pw := range d.ModePowerUW {
+			table[s*modes+k] = float64(m.Cfg.QDLED.ElectricalPower(pw))
+		}
 	}
-	m.worst.CompareAndSwap(nil, &table)
-	return *m.worst.Load(), nil
+	return table, nil
 }
 
 // pjOverCyclesToUW converts a total energy in pJ spent during a window

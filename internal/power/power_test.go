@@ -637,7 +637,7 @@ func skewedMatrix(n int) *trace.Matrix {
 // TestEvaluateLossMatchesReprice pins EvaluateLoss to the composition
 // it replaces, WithLossModel followed by Evaluate, with == on every
 // Breakdown field for both loss models and for 1-, 2- and 4-mode
-// networks; the worst-case table, once built, must keep answering the
+// networks; the pricing plans, once built, must keep answering the
 // same.
 func TestEvaluateLossMatchesReprice(t *testing.T) {
 	n := 32

@@ -141,6 +141,11 @@ func SingleMode(n int) *Topology {
 // clusterSize consecutive nodes are in the low mode, all others in the
 // high mode.
 func Clustered(n, clusterSize int) (*Topology, error) {
+	if n <= clusterSize {
+		// One cluster would hold every node, leaving the high mode
+		// nobody to reach.
+		return nil, fmt.Errorf("topo: %d nodes fit in one cluster of %d; a clustered design needs at least two clusters", n, clusterSize)
+	}
 	if clusterSize < 2 || n%clusterSize != 0 {
 		return nil, fmt.Errorf("topo: cluster size %d does not divide %d nodes", clusterSize, n)
 	}
@@ -190,14 +195,27 @@ func DistanceBased(n int, groupSizes []int) (*Topology, error) {
 // they form groups of a quarter each, nearest first ("groups of 64
 // nearest nodes").
 func DistanceModes(n, modes int) (*Topology, error) {
-	switch modes {
-	case 2:
-		return DistanceBased(n, []int{n / 2, n - 1 - n/2})
-	case 4:
-		q := n / 4
-		return DistanceBased(n, []int{q, q, q, n - 1 - 3*q})
+	if modes != 2 && modes != 4 {
+		return nil, fmt.Errorf("topo: distance-based designs have 2 or 4 modes, got %d", modes)
 	}
-	return nil, fmt.Errorf("topo: distance-based designs have 2 or 4 modes, got %d", modes)
+	if err := enoughNodes(n, modes, "distance-based"); err != nil {
+		return nil, err
+	}
+	if modes == 2 {
+		return DistanceBased(n, []int{n / 2, n - 1 - n/2})
+	}
+	q := n / 4
+	return DistanceBased(n, []int{q, q, q, n - 1 - 3*q})
+}
+
+// enoughNodes reports an error when n nodes leave fewer destinations
+// per source than a design of the named family has modes, so that some
+// mode would reach nobody.
+func enoughNodes(n, modes int, family string) error {
+	if n <= modes {
+		return fmt.Errorf("topo: a %d-mode %s design needs at least %d nodes, got %d", modes, family, modes+1, n)
+	}
+	return nil
 }
 
 // byDistance lists all destinations of source s ordered by |d−s|
@@ -248,9 +266,9 @@ func CommAware2Mode(m *trace.Matrix, p splitter.Params, name string) (*Topology,
 		return nil, fmt.Errorf("topo: matrix size %d vs layout %d", m.N, p.Layout.N)
 	}
 	n := m.N
-	if n < 3 {
-		// The sweep needs a destination in each mode.
-		return nil, fmt.Errorf("topo: a 2-mode communication-aware design needs at least 3 nodes, got %d", n)
+	// The sweep needs a destination in each mode.
+	if err := enoughNodes(n, 2, "communication-aware"); err != nil {
+		return nil, err
 	}
 	t := New(n, 2, name)
 	path := p.Layout.PathTransmissions()
@@ -450,6 +468,9 @@ func CommAwareModes(m *trace.Matrix, p splitter.Params, modes int, name string) 
 	case 2:
 		return CommAware2Mode(m, p, name)
 	case 4:
+		if err := enoughNodes(m.N, 4, "communication-aware"); err != nil {
+			return nil, err
+		}
 		return BestScoredPartition(m, p, CandidatePartitions4(m.N), name)
 	}
 	return nil, fmt.Errorf("topo: communication-aware designs have 2 or 4 modes, got %d", modes)

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -112,6 +113,12 @@ func TestClusteredRejectsBadClusterSize(t *testing.T) {
 	}
 	if _, err := Clustered(8, 1); err == nil {
 		t.Error("cluster size 1 accepted")
+	}
+	// One cluster holding every node leaves the high mode empty.
+	for _, n := range []int{2, 4} {
+		if _, err := Clustered(n, 4); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d nodes fit in one cluster of 4", n)) {
+			t.Errorf("Clustered(%d, 4): %v, want a one-cluster error", n, err)
+		}
 	}
 }
 
@@ -511,6 +518,19 @@ func TestPaperModeBuildersRejections(t *testing.T) {
 	}
 	if _, err := CommAware2Mode(trace.NewMatrix(2), splitter.DefaultParams(2), "x"); err == nil {
 		t.Error("2-node communication-aware design accepted")
+	}
+	// Fewer destinations than modes: some mode would reach nobody.
+	for n := 2; n <= 4; n++ {
+		want := fmt.Sprintf("design needs at least 5 nodes, got %d", n)
+		if _, err := DistanceModes(n, 4); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("DistanceModes(%d, 4): %v, want %q", n, err, want)
+		}
+		if _, err := CommAwareModes(trace.NewMatrix(n), splitter.DefaultParams(n), 4, "x"); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("CommAwareModes(%d nodes, 4): %v, want %q", n, err, want)
+		}
+	}
+	if _, err := DistanceModes(2, 2); err == nil || !strings.Contains(err.Error(), "needs at least 3 nodes, got 2") {
+		t.Errorf("DistanceModes(2, 2): %v", err)
 	}
 	for _, modes := range []int{2, 4} {
 		d, err := DistanceModes(16, modes)
