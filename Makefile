@@ -78,14 +78,19 @@ paper-check:
 	sed -e '1d' -e '$${/^EXIT=0$$/d;}' paper_results.txt > /tmp/paper_results_want.txt
 	sed -e '1d' /tmp/paper_results.txt | diff -u /tmp/paper_results_want.txt -
 
-# Diff the sharded sweep coordinator's merged stdout against the bench
-# golden (minus its two header lines): pins the byte-identity contract
-# — `mnoc sweep -workers 4` over the in-order worker pool must reproduce
-# the single-process `mnoc bench` tables exactly — without booting a
-# fleet. The CI fleet-smoke job re-checks this against live backends.
+# Diff `mnoc sweep`'s stdout against the bench golden (minus its two
+# header lines): pins the byte-identity contract — a sweep must
+# reproduce the single-process `mnoc bench` tables exactly — without
+# booting a fleet. The second diff pins the -fault-scales path: the
+# fig3 table, then the curve `mnoc fault` prints for the same scales
+# (minus its three header lines). The CI fleet-smoke job re-checks the
+# tables against live backends.
 sweep-check:
 	$(GO) run ./cmd/mnoc sweep -scale quick -workers 4 > /tmp/sweep_quick.txt
 	tail -n +3 testdata/golden/bench_quick.txt | diff -u - /tmp/sweep_quick.txt
+	$(GO) run ./cmd/mnoc sweep -scale quick -exp fig3 -fault-scales 0,1 > /tmp/sweep_fault.txt
+	{ $(GO) run ./cmd/mnoc bench -scale quick -exp fig3 | tail -n +3; \
+	  $(GO) run ./cmd/mnoc fault -scales 0,1 | tail -n +4; } | diff -u - /tmp/sweep_fault.txt
 
 # Regenerate the golden worst-vs-average loss comparison table.
 compare-golden:

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 	"time"
 
@@ -75,9 +74,8 @@ func benchCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 // the -config file (if any) first, then every runner flag the command
 // line set explicitly, so `-workers 2` beats a file that says 8. Flags
 // are read back by name through flag.Getter, so a subcommand registers
-// only the ones it offers; those named in except mean something else
-// there and are left alone.
-func runnerConfig(fs *flag.FlagSet, path string, except ...string) (runner.Config, error) {
+// only the ones it offers.
+func runnerConfig(fs *flag.FlagSet, path string) (runner.Config, error) {
 	var cfg runner.Config
 	if path != "" {
 		var err error
@@ -86,9 +84,6 @@ func runnerConfig(fs *flag.FlagSet, path string, except ...string) (runner.Confi
 		}
 	}
 	fs.Visit(func(f *flag.Flag) {
-		if slices.Contains(except, f.Name) {
-			return
-		}
 		v := f.Value.(flag.Getter).Get()
 		switch f.Name {
 		case "scale":

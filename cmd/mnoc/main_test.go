@@ -125,20 +125,17 @@ func TestConfigPrecedence(t *testing.T) {
 func TestRunnerConfigMerge(t *testing.T) {
 	path := writeConfig(t, `{"scale":"quick","seed":5,"workers":8,"cache_dir":"/from/file"}`)
 	cases := []struct {
-		args   []string
-		except []string
-		scale  string
-		seed   int64
-		work   int
-		cache  string
+		args  []string
+		scale string
+		seed  int64
+		work  int
+		cache string
 	}{
-		{nil, nil, "quick", 5, 8, "/from/file"},
-		{[]string{"-workers", "2"}, nil, "quick", 5, 2, "/from/file"},
-		{[]string{"-scale", "paper", "-seed", "9", "-cache-dir", "d"}, nil, "paper", 9, 8, "d"},
+		{nil, "quick", 5, 8, "/from/file"},
+		{[]string{"-workers", "2"}, "quick", 5, 2, "/from/file"},
+		{[]string{"-scale", "paper", "-seed", "9", "-cache-dir", "d"}, "paper", 9, 8, "d"},
 		// A flag given its default explicitly still wins over the file.
-		{[]string{"-workers", "0"}, nil, "quick", 5, 0, "/from/file"},
-		// Excepted flags mean something else to the subcommand.
-		{[]string{"-workers", "2"}, []string{"workers"}, "quick", 5, 8, "/from/file"},
+		{[]string{"-workers", "0"}, "quick", 5, 0, "/from/file"},
 	}
 	for _, c := range cases {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -149,13 +146,13 @@ func TestRunnerConfigMerge(t *testing.T) {
 		if err := fs.Parse(c.args); err != nil {
 			t.Fatal(err)
 		}
-		cfg, err := runnerConfig(fs, path, c.except...)
+		cfg, err := runnerConfig(fs, path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cfg.Scale != c.scale || cfg.Seed != c.seed || cfg.Workers != c.work || cfg.CacheDir != c.cache {
-			t.Errorf("%v except %v: got scale=%q seed=%d workers=%d cache=%q, want %q %d %d %q",
-				c.args, c.except, cfg.Scale, cfg.Seed, cfg.Workers, cfg.CacheDir, c.scale, c.seed, c.work, c.cache)
+			t.Errorf("%v: got scale=%q seed=%d workers=%d cache=%q, want %q %d %d %q",
+				c.args, cfg.Scale, cfg.Seed, cfg.Workers, cfg.CacheDir, c.scale, c.seed, c.work, c.cache)
 		}
 	}
 	if _, err := runnerConfig(flag.NewFlagSet("test", flag.ContinueOnError), filepath.Join(t.TempDir(), "none.json")); err == nil {
@@ -396,4 +393,26 @@ func TestBenchjsonEmitCheck(t *testing.T) {
 	if code, _, errOut := mnoc(t, "benchjson", "check", "-baseline", base, "-current", slow); code != 1 || !strings.Contains(errOut, "1 regression(s)") {
 		t.Errorf("regression: exit %d, stderr:\n%s", code, errOut)
 	}
+}
+
+// TestSweepFaultScalesMatchBenchAndFault pins local sweep's stdout: the
+// bench tables without bench's 2-line header, then the fault curve
+// without fault's 3-line header.
+func TestSweepFaultScalesMatchBenchAndFault(t *testing.T) {
+	path := writeConfig(t, `{"options":{"N":16,"Seed":1,"QAPIters":50,"Cycles":1000000,"SimAccesses":20}}`)
+	sweep := mustRun(t, "sweep", "-config", path, "-exp", "fig3", "-fault-scales", "0,1")
+	bench := mustRun(t, "bench", "-config", path, "-exp", "fig3")
+	fault := mustRun(t, "fault", "-scales", "0,1")
+	want := dropLines(bench, 2) + dropLines(fault, 3)
+	if sweep != want {
+		t.Fatalf("sweep stdout differs from bench + fault:\n--- sweep ---\n%s\n--- want ---\n%s", sweep, want)
+	}
+}
+
+// dropLines returns s without its first n lines.
+func dropLines(s string, n int) string {
+	for ; n > 0; n-- {
+		_, s, _ = strings.Cut(s, "\n")
+	}
+	return s
 }

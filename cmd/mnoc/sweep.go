@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -14,28 +15,26 @@ import (
 	"mnoc/internal/telemetry"
 )
 
-// sweepCmd is the sharded sweep coordinator (docs/FLEET.md): it splits
-// a design-space sweep — experiment entries and, optionally, fault
-// points — into units, runs them in unit order on a worker pool
-// (locally, or against live backends with -addr), and merges the
-// partial tables deterministically. The merged stdout is
-// byte-identical to a single-process `mnoc bench` run of the same
-// entries: tables go to stdout, everything else to stderr, so
-// `mnoc sweep | diff - golden` is the acceptance check.
+// sweepCmd regenerates the paper's tables and, with -fault-scales, the
+// fault curve, locally on one runner or against live backends with
+// -addr (docs/FLEET.md). Its stdout is byte-identical to `mnoc bench`
+// of the same entries followed by `mnoc fault` of the same scales,
+// each without its header: tables go to stdout, everything else to
+// stderr, so `mnoc sweep | diff - golden` is the acceptance check.
 func sweepCmd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("sweep", stderr)
 	which := fs.String("exp", "all", "experiment id, 'all' (paper artefacts), 'ext' (extensions), or 'everything' (ids: "+idList()+")")
 	fs.String("scale", "paper", "paper (radix-256) or quick (radix-64)")
 	fs.Int64("seed", 1, "random seed for workloads and heuristics")
-	workers := fs.Int("workers", 4, "sweep worker count (each worker runs one unit at a time)")
+	workers := fs.Int("workers", 4, "worker count: the runner's pool, or with -addr the number of requests in flight")
 	fs.String("cache-dir", "", "persistent artifact cache directory")
 	configPath := fs.String("config", "", "JSON runner config file; explicitly-set flags override it")
-	addrs := fs.String("addr", "", "comma-separated backend base URLs: run units remotely via POST /v1/bench instead of in-process")
+	addrs := fs.String("addr", "", "comma-separated backend base URLs: run experiments remotely via POST /v1/bench instead of in-process")
 	storeURL := fs.String("artifact-store", "", "remote artifact store base URL (a backend running -artifact-serve)")
-	faultStr := fs.String("fault-scales", "", "comma-separated fault-rate multipliers to sweep as extra units (local mode only)")
+	faultStr := fs.String("fault-scales", "", "comma-separated fault-rate multipliers to sweep after the tables (local mode only)")
 	faultBench := fs.String("fault-bench", "syn_uniform", "workload for -fault-scales")
 	faultN := fs.Int("fault-n", 16, "crossbar radix for -fault-scales")
-	timeoutMS := fs.Int64("timeout-ms", 300_000, "client-side per-unit timeout for remote units")
+	timeoutMS := fs.Int64("timeout-ms", 300_000, "client-side timeout per remote experiment")
 	tf := addTelemetryFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -51,7 +50,7 @@ func sweepCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 			return err
 		}
 	}
-	sw := sweep{entries: entries, workers: *workers, tf: tf, stdout: stdout, stderr: stderr}
+	sw := sweep{entries: entries, tf: tf, stdout: stdout, stderr: stderr}
 	startPprof(stderr, "sweep", *tf.pprofAddr)
 	sw.begin = time.Now()
 
@@ -59,10 +58,9 @@ func sweepCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		if len(faultScales) > 0 {
 			return fmt.Errorf("-fault-scales needs local execution; drop -addr")
 		}
-		return sw.remote(ctx, splitList(*addrs), *storeURL, time.Duration(*timeoutMS)*time.Millisecond)
+		return sw.remote(ctx, splitList(*addrs), *workers, *storeURL, time.Duration(*timeoutMS)*time.Millisecond)
 	}
-	// -workers sizes the sweep pool here, not the runner's.
-	cfg, err := runnerConfig(fs, *configPath, "workers")
+	cfg, err := runnerConfig(fs, *configPath)
 	if err != nil {
 		return err
 	}
@@ -75,65 +73,65 @@ func sweepCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	return sw.local(ctx, cfg, faultScales, *faultBench, *faultN)
 }
 
-// sweep is one coordinator run: the entries to shard, the pool width,
-// and where its tables, progress and telemetry go.
+// sweep is one sweep run: the entries to run, and where its tables,
+// progress and telemetry go.
 type sweep struct {
 	entries        []exp.Entry
-	workers        int
 	tf             *telemetryFlags
 	stdout, stderr io.Writer
 	begin          time.Time
 }
 
-// local runs every unit in-process over one shared runner, so units
-// share its artifact store and in-process memoisation exactly like a
-// single-process bench run.
+// local runs the entries, then the fault sweep, on one runner, so both
+// share its worker pool, artifact store and in-process memoisation.
+// Each entry and each fault scale counts as one unit.
 func (sw sweep) local(ctx context.Context, cfg runner.Config, faultScales []float64, faultBench string, faultN int) error {
 	r, err := runner.New(cfg)
 	if err != nil {
 		return err
 	}
-	fleet.RegisterMetrics(r.Telemetry())
+	reg := r.Telemetry()
+	fleet.RegisterMetrics(reg)
 	if err := r.Precompute(ctx); err != nil {
 		return err
 	}
-
-	units := fleet.EntryUnits(r, sw.entries)
-	var fc runner.FaultConfig
-	var faultShards []*runner.FaultSweepResult
-	if len(faultScales) > 0 {
-		fc = runner.DefaultFaultConfig()
-		fc.Scales = faultScales
-		fc.Bench = faultBench
-		fc.N = faultN
-		fc.Seed = r.Options().Seed
-		faultShards = make([]*runner.FaultSweepResult, len(fc.Scales))
-		units = append(units, fleet.FaultUnits(r, fc, faultShards)...)
-	}
+	n, seed := r.Options().N, r.Options().Seed
+	units := len(sw.entries) + len(faultScales)
 	fmt.Fprintf(sw.stderr, "mnoc sweep: mode=local radix=%d seed=%d units=%d workers=%d\n",
-		r.Options().N, r.Options().Seed, len(units), sw.workers)
+		n, seed, units, r.Workers())
 
-	outs, err := fleet.RunUnits(ctx, units, sw.workers, r.Telemetry())
+	tables, err := r.RunEntries(ctx, sw.entries)
 	if err != nil {
 		return err
 	}
-	merged := fleet.Merge(outs)
-	if _, err := sw.stdout.Write(merged); err != nil {
+	unitsC := reg.Counter(fleet.MetricSweepUnits)
+	unitsC.Add(uint64(len(tables)))
+	var merged bytes.Buffer
+	for _, t := range tables {
+		if err := t.Fprint(&merged); err != nil {
+			return fmt.Errorf("rendering table %s: %w", t.ID, err)
+		}
+	}
+	if _, err := sw.stdout.Write(merged.Bytes()); err != nil {
 		return err
 	}
+	sw.storeArtifact(r.Store(), faultScales, n, seed, merged.Bytes())
+
 	if len(faultScales) > 0 {
-		res, err := fleet.MergeFaultResults(fc, faultShards)
+		fc := runner.DefaultFaultConfig()
+		fc.Scales, fc.Bench, fc.N, fc.Seed = faultScales, faultBench, faultN, seed
+		res, err := r.FaultSweep(ctx, fc)
 		if err != nil {
 			return err
 		}
+		unitsC.Add(uint64(len(res.Points)))
 		if err := res.Render(sw.stdout, false); err != nil {
 			return err
 		}
 	}
-	sw.storeArtifact(r.Store(), faultScales, r.Options().N, r.Options().Seed, merged)
-	if err := sw.finish(r.Telemetry(), r.Tracer(), map[string]any{
-		"subcommand": "sweep", "mode": "local", "radix": r.Options().N,
-		"seed": r.Options().Seed, "units": len(units), "workers": sw.workers,
+	if err := sw.finish(reg, r.Tracer(), map[string]any{
+		"subcommand": "sweep", "mode": "local", "radix": n,
+		"seed": seed, "units": units, "workers": r.Workers(),
 		"wall_ms": time.Since(sw.begin).Milliseconds(),
 	}); err != nil {
 		return err
@@ -142,10 +140,10 @@ func (sw sweep) local(ctx context.Context, cfg runner.Config, faultScales []floa
 	return nil
 }
 
-// remote shards the entries across live backends; each unit POSTs
-// /v1/bench and renders the returned tables locally, so the merged
-// bytes match the local path exactly.
-func (sw sweep) remote(ctx context.Context, endpoints []string, storeURL string, timeout time.Duration) error {
+// remote runs the entries across live backends; fleet.RemoteSweep
+// renders the returned tables locally, so the output matches the
+// local path exactly.
+func (sw sweep) remote(ctx context.Context, endpoints []string, workers int, storeURL string, timeout time.Duration) error {
 	if len(endpoints) == 0 {
 		return fmt.Errorf("-addr parsed to an empty endpoint list")
 	}
@@ -153,16 +151,15 @@ func (sw sweep) remote(ctx context.Context, endpoints []string, storeURL string,
 	reg := telemetry.NewRegistry()
 	fleet.RegisterMetrics(reg)
 	fmt.Fprintf(sw.stderr, "mnoc sweep: mode=remote endpoints=%d units=%d workers=%d\n",
-		len(endpoints), len(ids), sw.workers)
+		len(endpoints), len(ids), workers)
 	for _, ep := range endpoints {
 		fmt.Fprintf(sw.stderr, "mnoc sweep:   endpoint %s\n", ep)
 	}
 
-	outs, err := fleet.RunUnits(ctx, fleet.RemoteEntryUnits(ids, endpoints, timeout), sw.workers, reg)
+	merged, err := fleet.RemoteSweep(ctx, ids, endpoints, workers, timeout, reg)
 	if err != nil {
 		return err
 	}
-	merged := fleet.Merge(outs)
 	if _, err := sw.stdout.Write(merged); err != nil {
 		return err
 	}
@@ -174,7 +171,7 @@ func (sw sweep) remote(ctx context.Context, endpoints []string, storeURL string,
 	}
 	return sw.finish(reg, telemetry.NewTracer(1), map[string]any{
 		"subcommand": "sweep", "mode": "remote", "endpoints": len(endpoints),
-		"units": len(ids), "workers": sw.workers,
+		"units": len(ids), "workers": workers,
 		"wall_ms": time.Since(sw.begin).Milliseconds(),
 	})
 }

@@ -1,8 +1,8 @@
 // Package fanout is the one bounded worker pool in the module. The
-// experiment context, the runner, the fault sweep and the fleet sweep
-// coordinator all schedule their independent items through Run, and
-// each keeps its own error policy (join, first error, fail-fast
-// cancel) in the fn it passes.
+// experiment context, the runner, the fault sweep, the remote fleet
+// sweep and the load generator all schedule their independent items
+// through Run, and each keeps its own error policy (join, first error,
+// fail-fast cancel) in the fn it passes.
 package fanout
 
 import (

@@ -156,3 +156,34 @@ func TestNoGoroutineLeftBehind(t *testing.T) {
 		t.Errorf("%d goroutines after Run returned, %d before", n, before)
 	}
 }
+
+// TestBlockedWorkerDoesNotStall: index 0 blocks until index 2 has run,
+// so Run returns only if the other worker keeps taking indices while
+// one worker is blocked.
+func TestBlockedWorkerDoesNotStall(t *testing.T) {
+	thirdRan := make(chan struct{})
+	var ran [3]atomic.Bool
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		Run(context.Background(), 3, 2, func(_, i int) {
+			switch i {
+			case 0:
+				<-thirdRan
+			case 2:
+				close(thirdRan)
+			}
+			ran[i].Store(true)
+		})
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run stalled behind a blocked worker")
+	}
+	for i := range ran {
+		if !ran[i].Load() {
+			t.Errorf("index %d never ran", i)
+		}
+	}
+}

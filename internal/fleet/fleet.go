@@ -16,10 +16,10 @@
 //     counts as a miss, mirroring the local disk store's quarantine
 //     behaviour.
 //
-//   - Sweep (`mnoc sweep`): a coordinator that shards a design-space
-//     sweep over workers via one shared in-order queue and merges the
-//     partial tables deterministically — byte-identical to a
-//     single-process run.
+//   - RemoteSweep (`mnoc sweep -addr`): runs experiment ids on the
+//     backends' /v1/bench over the shared in-order worker pool and
+//     renders the returned tables locally in id order — byte-identical
+//     to a single-process run.
 package fleet
 
 import (
@@ -50,7 +50,8 @@ const (
 	MetricStorePut     = "fleet.store.put"
 	MetricStoreCorrupt = "fleet.store.corrupt"
 
-	// MetricSweepUnits counts sweep work units completed.
+	// MetricSweepUnits counts sweep units completed: experiments, plus
+	// fault scales in a local sweep.
 	MetricSweepUnits = "fleet.sweep.units"
 )
 

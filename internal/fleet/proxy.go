@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -106,15 +105,11 @@ func (p *Proxy) Handler() http.Handler {
 }
 
 func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if p.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteHealthz(w, p.draining.Load())
 }
 
 func (p *Proxy) handleVersion(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"version": p.cfg.Version,
 		"role":    "proxy",
 		"ring":    p.ring.Size(),
@@ -123,18 +118,7 @@ func (p *Proxy) handleVersion(w http.ResponseWriter, r *http.Request) {
 }
 
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := p.reg.Snapshot()
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = snap.WritePrometheus(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	rep := telemetry.Report{
-		Meta:    map[string]any{"subcommand": "proxy", "ring": p.ring.Size()},
-		Metrics: snap,
-	}
-	_ = rep.WriteJSON(w)
+	_ = server.WriteMetrics(w, r, p.reg, map[string]any{"subcommand": "proxy", "ring": p.ring.Size()})
 }
 
 // flightKey derives the routing key for a request. API requests use
@@ -261,53 +245,19 @@ func (p *Proxy) forward(ctx context.Context, w http.ResponseWriter, r *http.Requ
 }
 
 func (p *Proxy) writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// writeJSON mirrors the server's response shape (two-space-indented
-// JSON plus trailing newline).
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	server.WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // StartDrain flips the proxy's /healthz to 503.
 func (p *Proxy) StartDrain() { p.draining.Store(true) }
 
 // Serve runs the proxy on addr (":0" picks a free port) until ctx is
-// cancelled, then drains in-flight requests for up to drain. The
-// health prober runs for the same lifetime. Mirrors server.Serve so
-// `mnoc proxy` and `mnoc serve` behave the same under SIGINT.
+// cancelled, then drains in-flight requests for up to drain, through
+// the same listen-then-drain loop as `mnoc serve`. The health prober
+// runs until Serve returns.
 func (p *Proxy) Serve(ctx context.Context, addr string, drain time.Duration, ready func(boundAddr string)) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("fleet: listening on %s: %w", addr, err)
-	}
-	if ready != nil {
-		ready(l.Addr().String())
-	}
-	go p.health.run(ctx, p.ring.Backends())
-	srv := &http.Server{Handler: p.Handler()}
-	errc := make(chan error, 1)
-	//mnoclint:allow goroleak Serve returns when ctx cancellation below closes the listener; the buffered errc never blocks the send
-	go func() { errc <- srv.Serve(l) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	p.StartDrain()
-	//mnoclint:allow ctxthread the serve ctx is already done here; the drain grace period needs a fresh deadline, not the cancelled parent
-	shutCtx, cancel := context.WithTimeout(context.Background(), drain)
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		return fmt.Errorf("fleet: draining connections: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	go p.health.run(ctx, p.ring.Backends())
+	return server.ListenAndDrain(ctx, addr, p.Handler(), drain, p.StartDrain, ready)
 }

@@ -3,9 +3,14 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"errors"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"mnoc/internal/exp"
 	"mnoc/internal/runner"
@@ -16,15 +21,6 @@ import (
 // server tests use.
 func testOptions() *exp.Options {
 	return &exp.Options{N: 16, Seed: 1, QAPIters: 50, Cycles: 1e6, SimAccesses: 20}
-}
-
-func testRunner(t *testing.T) *runner.Runner {
-	t.Helper()
-	r, err := runner.New(runner.Config{Options: testOptions(), FailFast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
 }
 
 func sweepEntries(t *testing.T, ids ...string) []exp.Entry {
@@ -40,143 +36,122 @@ func sweepEntries(t *testing.T, ids ...string) []exp.Entry {
 	return entries
 }
 
-// TestSweepMatchesSingleProcess pins the coordinator's core contract:
-// a sharded sweep merges byte-identically to a single-process run of
-// the same entries, regardless of worker count.
+// TestSweepMatchesSingleProcess runs the remote sweep against two live
+// replicas: the joined output must equal a single-process run of the
+// same entries at every pool width, every id counts as one unit, and
+// an id a backend rejects fails the sweep with an error naming it.
 func TestSweepMatchesSingleProcess(t *testing.T) {
 	ctx := context.Background()
-	entries := sweepEntries(t, "table1", "fig2", "fig3")
-
-	var single bytes.Buffer
-	if err := testRunner(t).Run(ctx, &single, entries); err != nil {
+	ids := []string{"table1", "fig2", "fig3"}
+	r, err := runner.New(runner.Config{Options: testOptions()})
+	if err != nil {
 		t.Fatal(err)
 	}
-
+	var single bytes.Buffer
+	if err := r.Run(ctx, &single, sweepEntries(t, ids...)); err != nil {
+		t.Fatal(err)
+	}
+	_, tsA := newRealBackend(t)
+	_, tsB := newRealBackend(t)
+	endpoints := []string{tsA.URL, tsB.URL}
 	for _, workers := range []int{1, 4} {
-		r := testRunner(t)
-		outs, err := RunUnits(ctx, EntryUnits(r, entries), workers, r.Telemetry())
+		reg := telemetry.NewRegistry()
+		got, err := RemoteSweep(ctx, ids, endpoints, workers, time.Minute, reg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := Merge(outs); !bytes.Equal(got, single.Bytes()) {
-			t.Fatalf("workers=%d: sharded output differs from single-process run:\n--- sharded ---\n%s\n--- single ---\n%s",
+		if !bytes.Equal(got, single.Bytes()) {
+			t.Fatalf("workers=%d: remote output differs from single-process run:\n--- remote ---\n%s\n--- single ---\n%s",
 				workers, got, single.Bytes())
 		}
+		if units := reg.Snapshot().Counters[MetricSweepUnits]; units != 3 {
+			t.Fatalf("workers=%d: units=%d, want 3", workers, units)
+		}
+	}
+	_, err = RemoteSweep(ctx, []string{"table1", "nosuch"}, endpoints, 2, time.Minute, nil)
+	if err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Fatalf("rejected id: err=%v, want an error naming nosuch", err)
 	}
 }
 
-// TestRunUnitsBlockedUnitDoesNotStall: the first unit blocks until the
-// third has run, so the sweep finishes only if the other worker keeps
-// taking units while one worker is blocked.
-func TestRunUnitsBlockedUnitDoesNotStall(t *testing.T) {
-	ctx := context.Background()
-	thirdRan := make(chan struct{})
-	units := []Unit{
-		{ID: "blocker", Run: func(ctx context.Context, _ int) ([]byte, error) {
-			select {
-			case <-thirdRan:
-				return []byte("a"), nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}},
-		{ID: "w1-own", Run: func(context.Context, int) ([]byte, error) { return []byte("b"), nil }},
-		{ID: "stealable", Run: func(context.Context, int) ([]byte, error) {
-			close(thirdRan)
-			return []byte("c"), nil
-		}},
-	}
-	reg := telemetry.NewRegistry()
-	outs, err := RunUnits(ctx, units, 2, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(Merge(outs)); got != "abc" {
-		t.Fatalf("merged %q, want \"abc\" (unit order)", got)
-	}
-	if units := reg.Snapshot().Counters[MetricSweepUnits]; units != 3 {
-		t.Fatalf("units=%d, want 3", units)
-	}
+// benchStub is a /v1/bench backend that answers every id with an empty
+// table list, rejects ids starting with "bad", and records what it saw.
+type benchStub struct {
+	mu  sync.Mutex
+	ids []string
 }
 
-// TestRunUnitsError pins fail-fast: a failing unit cancels the run and
-// its error names the unit.
+func newBenchStub(t *testing.T) (*benchStub, *httptest.Server) {
+	t.Helper()
+	b := &benchStub{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req struct{ ID string }
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		b.mu.Lock()
+		b.ids = append(b.ids, req.ID)
+		b.mu.Unlock()
+		if strings.HasPrefix(req.ID, "bad") {
+			http.Error(w, "unknown experiment "+req.ID, http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, "[]")
+	}))
+	t.Cleanup(ts.Close)
+	return b, ts
+}
+
+func (b *benchStub) seen() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]string(nil), b.ids...)
+}
+
+// TestRunUnitsError pins fail-fast: an id a backend rejects cancels the
+// sweep, ids after it never start, and the error names the rejected id.
 func TestRunUnitsError(t *testing.T) {
-	boom := errors.New("boom")
-	units := []Unit{
-		{ID: "ok", Run: func(context.Context, int) ([]byte, error) { return []byte("x"), nil }},
-		{ID: "bad", Run: func(context.Context, int) ([]byte, error) { return nil, boom }},
+	stub, ts := newBenchStub(t)
+	_, err := RemoteSweep(context.Background(), []string{"ok", "bad", "after"}, []string{ts.URL}, 1, time.Minute, nil)
+	if err == nil || !strings.Contains(err.Error(), "bad") {
+		t.Fatalf("err=%v, want an error naming the rejected id", err)
 	}
-	_, err := RunUnits(context.Background(), units, 1, nil)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err=%v, want wrapped boom", err)
-	}
-	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("bad")) {
-		t.Fatalf("error %v does not name the failing unit", err)
+	if got := stub.seen(); len(got) != 2 || got[0] != "ok" || got[1] != "bad" {
+		t.Fatalf("backend saw %q, want [ok bad]: the sweep must stop at the rejected id", got)
 	}
 }
 
-// TestFaultUnitsMatchSingleSweep pins the other sharding axis: a
-// per-scale sharded fault sweep renders byte-identically to the
-// single-process multi-scale sweep.
-func TestFaultUnitsMatchSingleSweep(t *testing.T) {
-	fc := runner.FaultConfig{
-		N: 16, Bench: "syn_uniform", Cycles: 50_000, Flits: 2000, Seed: 1,
-		Scales: []float64{0, 1, 2},
-	}
-	r := testRunner(t)
-	single, err := r.FaultSweep(context.Background(), fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := single.Render(&want, false); err != nil {
-		t.Fatal(err)
-	}
-
-	shards := make([]*runner.FaultSweepResult, len(fc.Scales))
-	r2 := testRunner(t)
-	if _, err := RunUnits(context.Background(), FaultUnits(r2, fc, shards), 3, r2.Telemetry()); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := MergeFaultResults(fc, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := merged.Render(&got, false); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("sharded fault sweep differs:\n--- sharded ---\n%s\n--- single ---\n%s", got.Bytes(), want.Bytes())
-	}
-}
-
-func TestMergeFaultResultsValidation(t *testing.T) {
-	fc := runner.FaultConfig{Scales: []float64{0, 1}}
-	if _, err := MergeFaultResults(fc, make([]*runner.FaultSweepResult, 1)); err == nil {
-		t.Fatal("shard/scale count mismatch must error")
-	}
-	if _, err := MergeFaultResults(fc, make([]*runner.FaultSweepResult, 2)); err == nil {
-		t.Fatal("nil shard must error")
-	}
-}
-
-// TestRunUnitsWorkerIndexBounds pins that worker indices passed to
-// units stay within [0, workers), since remote units use them to pick
-// endpoints.
+// TestRunUnitsWorkerIndexBounds pins that each worker index maps onto a
+// real endpoint, whether the pool is as wide as, wider or narrower than
+// the endpoint list: every id reaches a backend exactly once.
 func TestRunUnitsWorkerIndexBounds(t *testing.T) {
-	const workers = 3
-	units := make([]Unit, 10)
-	for i := range units {
-		units[i] = Unit{ID: fmt.Sprintf("u%d", i), Run: func(_ context.Context, w int) ([]byte, error) {
-			if w < 0 || w >= workers {
-				return nil, fmt.Errorf("worker index %d out of range", w)
-			}
-			return nil, nil
-		}}
+	ids := make([]string, 10)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("u%d", i)
 	}
-	if _, err := RunUnits(context.Background(), units, workers, nil); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ workers, endpoints int }{{3, 3}, {5, 2}, {2, 3}} {
+		stubs := make([]*benchStub, tc.endpoints)
+		endpoints := make([]string, tc.endpoints)
+		for i := range stubs {
+			var ts *httptest.Server
+			stubs[i], ts = newBenchStub(t)
+			endpoints[i] = ts.URL
+		}
+		if _, err := RemoteSweep(context.Background(), ids, endpoints, tc.workers, time.Minute, nil); err != nil {
+			t.Fatalf("workers=%d endpoints=%d: %v", tc.workers, tc.endpoints, err)
+		}
+		seen := map[string]int{}
+		for _, s := range stubs {
+			for _, id := range s.seen() {
+				seen[id]++
+			}
+		}
+		for _, id := range ids {
+			if seen[id] != 1 {
+				t.Fatalf("workers=%d endpoints=%d: id %s reached backends %d times, want 1", tc.workers, tc.endpoints, id, seen[id])
+			}
+		}
 	}
 }

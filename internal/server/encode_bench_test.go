@@ -1,6 +1,6 @@
 // Serve-path encode/decode benchmarks (srtjson-style tables with
 // b.ReportAllocs), tracked by `make bench` in BENCH_baseline.json: the
-// encode table prices each response body through writeJSON, the decode
+// encode table prices each response body through WriteJSON, the decode
 // table sizes the request-parsing cost across batch widths.
 package server
 
@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-// BenchmarkWriteJSON measures the whole writeJSON call — header set,
+// BenchmarkWriteJSON measures the whole WriteJSON call — header set,
 // indented encode, write — against a discarding ResponseWriter, for
 // the two hot response bodies and a generic map.
 func BenchmarkWriteJSON(b *testing.B) {
@@ -38,7 +38,7 @@ func BenchmarkWriteJSON(b *testing.B) {
 			w := &discardResponseWriter{h: make(http.Header, 2)}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				writeJSON(w, 200, tc.v)
+				WriteJSON(w, 200, tc.v)
 			}
 		})
 	}

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mnoc/internal/fanout"
 	"mnoc/internal/telemetry"
 )
 
@@ -134,46 +135,34 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadResult, error) {
 		mu.Unlock()
 	}
 
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	begin := time.Now()
-	for w := 0; w < opts.Concurrency; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			// Per-worker jitter stream: workers never share a rand source,
-			// so the schedule is reproducible at a given concurrency.
-			rng := rand.New(rand.NewSource(opts.RetrySeed + int64(worker)))
-			// Workers round-robin across the endpoint list, so a
-			// multi-endpoint run spreads load evenly without any
-			// cross-worker coordination.
-			url := bases[worker%len(bases)] + "/v1/solve"
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= opts.Requests || ctx.Err() != nil {
-					return
-				}
-				status := fireWithRetry(ctx, client, url, bodies[i%len(bodies)], lat, opts.Retries, rng, &retries, record)
-				if status != http.StatusOK {
-					failures.Add(1)
-				}
-			}
-		}(w)
+	// Per-worker jitter streams: workers never share a rand source, so
+	// the schedule is reproducible at a given concurrency.
+	rngs := make([]*rand.Rand, opts.Concurrency)
+	for w := range rngs {
+		rngs[w] = rand.New(rand.NewSource(opts.RetrySeed + int64(w)))
 	}
-	wg.Wait()
+	var sent atomic.Int64
+	begin := time.Now()
+	fanout.Run(ctx, opts.Requests, opts.Concurrency, func(worker, i int) {
+		// Workers round-robin across the endpoint list, so a
+		// multi-endpoint run spreads load evenly without any
+		// cross-worker coordination.
+		url := bases[worker%len(bases)] + "/v1/solve"
+		status := fireWithRetry(ctx, client, url, bodies[i%len(bodies)], lat, opts.Retries, rngs[worker], &retries, record)
+		sent.Add(1)
+		if status != http.StatusOK {
+			failures.Add(1)
+		}
+	})
 	wall := time.Since(begin)
 
 	snap := reg.Snapshot().Histograms["load.request_ms"]
-	sent := int(next.Load())
-	if sent > opts.Requests {
-		sent = opts.Requests
-	}
 	res := &LoadResult{
-		Requests:   sent,
+		Requests:   int(sent.Load()),
 		Failures:   int(failures.Load()),
 		Wall:       wall,
 		WallMS:     wall.Milliseconds(),
-		Throughput: float64(sent) / wall.Seconds(),
+		Throughput: float64(sent.Load()) / wall.Seconds(),
 		P50MS:      snap.Quantile(0.50),
 		P90MS:      snap.Quantile(0.90),
 		P99MS:      snap.Quantile(0.99),

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -69,5 +70,36 @@ func TestLoadNoRetriesByDefault(t *testing.T) {
 	}
 	if res.Failures != 4 || res.Retries != 0 {
 		t.Fatalf("failures = %d retries = %d, want 4 failures and no retries", res.Failures, res.Retries)
+	}
+}
+
+// TestLoadCountsOnlySentRequestsOnCancel cancels the run from the
+// server side after its fifth request: Requests must count the
+// requests actually sent, which is what the per-status breakdown sums.
+func TestLoadCountsOnlySentRequestsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) == 5 {
+			cancel()
+		}
+		w.Write([]byte(`{}`))
+	}))
+	defer ts.Close()
+
+	res, err := RunLoad(ctx, LoadOptions{BaseURL: ts.URL, Requests: 100, Concurrency: 4})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	sum := 0
+	for _, n := range res.Statuses {
+		sum += n
+	}
+	if res.Requests != sum {
+		t.Fatalf("Requests = %d, statuses sum to %d (%v)", res.Requests, sum, res.Statuses)
+	}
+	if res.Requests >= 100 {
+		t.Fatalf("Requests = %d after cancelling at the fifth hit", res.Requests)
 	}
 }

@@ -168,11 +168,18 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+	WriteHealthz(w, s.draining.Load())
+}
+
+// WriteHealthz answers /healthz: 200 `ok`, or 503 `draining` once
+// graceful drain has begun. The fleet proxy answers its own /healthz
+// through it too.
+func WriteHealthz(w http.ResponseWriter, draining bool) {
+	if draining {
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // StartDrain flips /healthz to 503 `draining`. Serve calls it when its
@@ -181,7 +188,7 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	opt := s.r.Options()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"version": s.cfg.Version,
 		// role distinguishes a backend replica from a fleet proxy
 		// (which reports "proxy" plus its ring size), so `mnoc load`
@@ -196,22 +203,29 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.r.Telemetry().Snapshot()
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := snap.WritePrometheus(w); err != nil {
-			s.errsC.Inc()
-		}
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	rep := telemetry.Report{
-		Meta:    map[string]any{"subcommand": "serve", "radix": s.r.Options().N, "seed": s.r.Options().Seed},
-		Metrics: snap,
-	}
-	if err := rep.WriteJSON(w); err != nil {
+	meta := map[string]any{"subcommand": "serve", "radix": s.r.Options().N, "seed": s.r.Options().Seed}
+	if err := WriteMetrics(w, r, s.r.Telemetry(), meta); err != nil {
 		s.errsC.Inc()
 	}
+}
+
+// WriteMetrics answers /metrics with reg's snapshot: a JSON Report
+// carrying meta, or Prometheus text under ?format=prom. The fleet
+// proxy serves its registry through it too.
+func WriteMetrics(w http.ResponseWriter, r *http.Request, reg *telemetry.Registry, meta map[string]any) error {
+	snap := reg.Snapshot()
+	var err error
+	if r.URL.Query().Get("format") == "prom" {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		err = snap.WritePrometheus(w)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		err = telemetry.Report{Meta: meta, Metrics: snap}.WriteJSON(w)
+	}
+	if err != nil {
+		return fmt.Errorf("server: writing metrics: %w", err)
+	}
+	return nil
 }
 
 // SolveRequest asks for one design solve priced on one workload.
@@ -436,7 +450,7 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("server: %s needs GET", r.URL.Path))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.cfg.Adapt.Status())
+	WriteJSON(w, http.StatusOK, s.cfg.Adapt.Status())
 }
 
 // AdaptEvaluateRequest prices one workload's traffic on whatever
@@ -480,7 +494,7 @@ func (s *Server) handleAdaptEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, &AdaptEvaluateResponse{
+	WriteJSON(w, http.StatusOK, &AdaptEvaluateResponse{
 		Bench:        req.Bench,
 		Generation:   d.Gen,
 		TotalWatts:   b.TotalWatts(),
@@ -521,7 +535,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, timeoutMS int64, 
 		s.writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	WriteJSON(w, http.StatusOK, v)
 }
 
 // timeout resolves a client timeout_ms against the configured default
@@ -566,7 +580,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 		w.Header().Set("Retry-After", "1")
 	}
 	//mnoclint:allow hotalloc the error envelope is only built for rejected requests, off the measured decode/encode fast path
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // decodePost enforces POST + a well-formed JSON body. Unknown fields
@@ -605,11 +619,12 @@ func slicesContains(list []string, v string) bool {
 	return i < len(list) && list[i] == v
 }
 
-// writeJSON writes v as a JSON response in the two-space-indented form
+// WriteJSON writes v as a JSON response in the two-space-indented form
 // this server has always served (pinned byte for byte by wire_test.go).
+// The fleet proxy writes its own responses through it.
 //
 //mnoclint:hot
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -624,6 +639,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // scripts can scrape a randomly-assigned port. This is the blocking
 // body of the serve command.
 func (s *Server) Serve(ctx context.Context, addr string, drain time.Duration, ready func(boundAddr string)) error {
+	return ListenAndDrain(ctx, addr, s.Handler(), drain, s.StartDrain, ready)
+}
+
+// ListenAndDrain serves h on addr until ctx is cancelled. It then calls
+// startDrain, so /healthz reports 503 and load balancers stop routing
+// before the listener closes, and waits up to drain for in-flight
+// requests. `mnoc serve` and `mnoc proxy` both run through it, so they
+// behave the same under SIGINT.
+func ListenAndDrain(ctx context.Context, addr string, h http.Handler, drain time.Duration, startDrain func(), ready func(boundAddr string)) error {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("server: listening on %s: %w", addr, err)
@@ -631,7 +655,7 @@ func (s *Server) Serve(ctx context.Context, addr string, drain time.Duration, re
 	if ready != nil {
 		ready(l.Addr().String())
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: h}
 	errc := make(chan error, 1)
 	//mnoclint:allow goroleak Serve returns when the drain path below closes the listener; the buffered errc never blocks the send
 	go func() { errc <- srv.Serve(l) }()
@@ -640,9 +664,7 @@ func (s *Server) Serve(ctx context.Context, addr string, drain time.Duration, re
 		return err
 	case <-ctx.Done():
 	}
-	// Flip /healthz to 503 before closing the listener so load
-	// balancers stop routing during the drain window.
-	s.StartDrain()
+	startDrain()
 	//mnoclint:allow ctxthread the serve ctx is already done here; the drain grace period needs a fresh deadline, not the cancelled parent
 	shutCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()

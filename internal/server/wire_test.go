@@ -10,13 +10,13 @@ import (
 	"testing"
 )
 
-// wireBytes returns what writeJSON sends for v: the body without the
+// wireBytes returns what WriteJSON sends for v: the body without the
 // trailing newline Encoder.Encode appends, or "" when nothing was
 // written (encoding/json refuses NaN and Inf before writing any body).
 func wireBytes(t *testing.T, v any) string {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	writeJSON(rec, 200, v)
+	WriteJSON(rec, 200, v)
 	body := rec.Body.String()
 	if body == "" {
 		return ""
@@ -43,7 +43,7 @@ func checkWire(t *testing.T, cases []wireCase) {
 }
 
 // TestResponseWireFormat pins the served bytes of the /v1/solve,
-// /v1/evaluate and /v1/adapt/evaluate bodies: writeJSON's output is
+// /v1/evaluate and /v1/adapt/evaluate bodies: WriteJSON's output is
 // compared with literal strings, not with another encoder, so a field
 // shuffle (including the BreakdownDTO embed position), a renamed key,
 // the loss_model omitempty branch or an encoder change fails here.
@@ -224,7 +224,7 @@ func TestWireFormatRejectsBadFloats(t *testing.T) {
 			"adapt-evaluate.total_w": &AdaptEvaluateResponse{Bench: "fft", TotalWatts: f},
 		} {
 			rec := httptest.NewRecorder()
-			writeJSON(rec, 200, v)
+			WriteJSON(rec, 200, v)
 			if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" {
 				t.Errorf("%s=%s: status %d, content type %q", field, name, rec.Code, rec.Header().Get("Content-Type"))
 			}
@@ -235,7 +235,7 @@ func TestWireFormatRejectsBadFloats(t *testing.T) {
 	}
 }
 
-// TestWriteJSONFastPath drives writeJSON's single path for a solve
+// TestWriteJSONFastPath drives WriteJSON's single path for a solve
 // response, an error status and a generic map, checking the status
 // line and content type each response goes out with.
 func TestWriteJSONFastPath(t *testing.T) {
@@ -249,7 +249,7 @@ func TestWriteJSONFastPath(t *testing.T) {
 		{"generic", 200, map[string]string{"status": "ok"}},
 	} {
 		rec := httptest.NewRecorder()
-		writeJSON(rec, tc.status, tc.v)
+		WriteJSON(rec, tc.status, tc.v)
 		if rec.Code != tc.status {
 			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.status)
 		}
