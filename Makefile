@@ -22,10 +22,9 @@ vet:
 	$(GO) vet ./...
 
 # The domain lint suite (cmd/mnoclint, docs/LINT.md): determinism,
-# unit-safety, metric-name cardinality, context threading, error
-# wrapping, sync.Pool discipline, goroutine cancellation, RCU
-# publication and hot-path allocation. Pure stdlib, so it runs offline
-# like everything else here.
+# unit-safety, context threading, error wrapping, sync.Pool
+# discipline, goroutine cancellation and RCU publication. Pure stdlib,
+# so it runs offline like everything else here.
 lint:
 	$(GO) run ./cmd/mnoclint ./...
 

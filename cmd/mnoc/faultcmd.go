@@ -44,27 +44,7 @@ func faultCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if err != nil {
 		return err
 	}
-	// Start from the config file's fault section, filling unset fields
-	// with the historical mnoc-fault defaults.
-	fc := base.Fault
-	if fc.N == 0 {
-		fc.N = def.N
-	}
-	if fc.Bench == "" {
-		fc.Bench = def.Bench
-	}
-	if fc.Cycles == 0 {
-		fc.Cycles = def.Cycles
-	}
-	if fc.Flits == 0 {
-		fc.Flits = def.Flits
-	}
-	if fc.Seed == 0 {
-		fc.Seed = def.Seed
-	}
-	if len(fc.Scales) == 0 && fc.SchedulePath == "" {
-		fc.Scales = def.Scales
-	}
+	fc := faultConfig(base.Fault)
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "n":
@@ -129,6 +109,33 @@ func faultCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		"wall_ms":    time.Since(begin).Milliseconds(),
 	}
 	return writeTelemetry(reg, tracer, base.MetricsOut, base.TraceOut, meta)
+}
+
+// faultConfig starts from a config file's fault section and fills the
+// fields it leaves unset with the historical mnoc-fault defaults.
+// `mnoc fault` and `mnoc sweep -fault-scales` both start from it, so
+// one config file drives both the same way.
+func faultConfig(fc runner.FaultConfig) runner.FaultConfig {
+	def := runner.DefaultFaultConfig()
+	if fc.N == 0 {
+		fc.N = def.N
+	}
+	if fc.Bench == "" {
+		fc.Bench = def.Bench
+	}
+	if fc.Cycles == 0 {
+		fc.Cycles = def.Cycles
+	}
+	if fc.Flits == 0 {
+		fc.Flits = def.Flits
+	}
+	if fc.Seed == 0 {
+		fc.Seed = def.Seed
+	}
+	if len(fc.Scales) == 0 && fc.SchedulePath == "" {
+		fc.Scales = def.Scales
+	}
+	return fc
 }
 
 // parseScales parses the comma-separated multiplier list.

@@ -61,6 +61,11 @@ func TestExitCodes(t *testing.T) {
 		{"trace info without -i", []string{"trace", "info"}, 1, "", "mnoc trace: info: -i is required"},
 		{"unknown -exp id", []string{"bench", "-exp", "nosuch"}, 1, "", `mnoc bench: unknown experiment "nosuch"`},
 		{"unknown sweep -exp id", []string{"sweep", "-exp", "nosuch"}, 1, "", `mnoc sweep: unknown experiment "nosuch"`},
+		{"remote sweep -scale", []string{"sweep", "-addr", "http://127.0.0.1:1", "-scale", "quick"}, 1, "", "mnoc sweep: -scale needs local execution; drop -addr"},
+		{"remote sweep -seed", []string{"sweep", "-addr", "http://127.0.0.1:1", "-seed", "2"}, 1, "", "mnoc sweep: -seed needs local execution; drop -addr"},
+		{"remote sweep -config", []string{"sweep", "-addr", "http://127.0.0.1:1", "-config", "none.json"}, 1, "", "mnoc sweep: -config needs local execution; drop -addr"},
+		{"remote sweep -cache-dir", []string{"sweep", "-addr", "http://127.0.0.1:1", "-cache-dir", "cache"}, 1, "", "mnoc sweep: -cache-dir needs local execution; drop -addr"},
+		{"remote sweep -fault-scales", []string{"sweep", "-addr", "http://127.0.0.1:1", "-fault-scales", "0,1"}, 1, "", "mnoc sweep: -fault-scales needs local execution; drop -addr"},
 		{"unknown design kind", []string{"topo", "-n", "16", "-kind", "nosuch"}, 1, "", `mnoc topo: unknown kind "nosuch" (want one of ` + kinds + ")"},
 		{"unknown power kind", []string{"power", "-matrix", twoNodes, "-kind", "nosuch"}, 1, "", `mnoc power: unknown kind "nosuch" (want one of ` + kinds + ")"},
 		{"2-node comm2 topo", []string{"topo", "-n", "2", "-kind", "comm2"}, 1, "", "needs at least 3 nodes, got 2"},
@@ -397,15 +402,33 @@ func TestBenchjsonEmitCheck(t *testing.T) {
 
 // TestSweepFaultScalesMatchBenchAndFault pins local sweep's stdout: the
 // bench tables without bench's 2-line header, then the fault curve
-// without fault's 3-line header.
+// without fault's 3-line header. Both commands read the config file's
+// fault section; sweep's -fault-n/-fault-bench and its runner seed
+// override it.
 func TestSweepFaultScalesMatchBenchAndFault(t *testing.T) {
-	path := writeConfig(t, `{"options":{"N":16,"Seed":1,"QAPIters":50,"Cycles":1000000,"SimAccesses":20}}`)
-	sweep := mustRun(t, "sweep", "-config", path, "-exp", "fig3", "-fault-scales", "0,1")
-	bench := mustRun(t, "bench", "-config", path, "-exp", "fig3")
-	fault := mustRun(t, "fault", "-scales", "0,1")
-	want := dropLines(bench, 2) + dropLines(fault, 3)
-	if sweep != want {
-		t.Fatalf("sweep stdout differs from bench + fault:\n--- sweep ---\n%s\n--- want ---\n%s", sweep, want)
+	const options = `"options":{"N":16,"Seed":1,"QAPIters":50,"Cycles":1000000,"SimAccesses":20}`
+	for _, c := range []struct {
+		name       string
+		fault      string   // the config's fault section, if any
+		sweepFlags []string // extra sweep flags
+		faultFlags []string // the mnoc fault flags that match them
+	}{
+		{"defaults", "", nil, nil},
+		{"config fault section", `,"fault":{"cycles":50000,"flits":2000}`, nil, nil},
+		{"flags override config", `,"fault":{"cycles":50000,"flits":2000,"n":32,"bench":"fft","seed":7}`,
+			[]string{"-fault-n", "8", "-fault-bench", "syn_uniform"},
+			[]string{"-n", "8", "-bench", "syn_uniform", "-seed", "1"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := writeConfig(t, "{"+options+c.fault+"}")
+			sweep := mustRun(t, append([]string{"sweep", "-config", path, "-exp", "fig3", "-fault-scales", "0,1"}, c.sweepFlags...)...)
+			bench := mustRun(t, "bench", "-config", path, "-exp", "fig3")
+			fault := mustRun(t, append([]string{"fault", "-config", path, "-scales", "0,1"}, c.faultFlags...)...)
+			want := dropLines(bench, 2) + dropLines(fault, 3)
+			if sweep != want {
+				t.Fatalf("sweep stdout differs from bench + fault:\n--- sweep ---\n%s\n--- want ---\n%s", sweep, want)
+			}
+		})
 	}
 }
 

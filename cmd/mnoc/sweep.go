@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"strings"
@@ -32,8 +33,8 @@ func sweepCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	addrs := fs.String("addr", "", "comma-separated backend base URLs: run experiments remotely via POST /v1/bench instead of in-process")
 	storeURL := fs.String("artifact-store", "", "remote artifact store base URL (a backend running -artifact-serve)")
 	faultStr := fs.String("fault-scales", "", "comma-separated fault-rate multipliers to sweep after the tables (local mode only)")
-	faultBench := fs.String("fault-bench", "syn_uniform", "workload for -fault-scales")
-	faultN := fs.Int("fault-n", 16, "crossbar radix for -fault-scales")
+	faultBench := fs.String("fault-bench", "syn_uniform", "workload for -fault-scales; overrides the -config fault section")
+	faultN := fs.Int("fault-n", 16, "crossbar radix for -fault-scales; overrides the -config fault section")
 	timeoutMS := fs.Int64("timeout-ms", 300_000, "client-side timeout per remote experiment")
 	tf := addTelemetryFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
@@ -55,8 +56,19 @@ func sweepCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	sw.begin = time.Now()
 
 	if *addrs != "" {
-		if len(faultScales) > 0 {
-			return fmt.Errorf("-fault-scales needs local execution; drop -addr")
+		// The backends run on their own scale, seed and store, so a
+		// local-only flag would be silently ignored.
+		var localOnly string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "scale", "seed", "config", "cache-dir", "fault-scales":
+				if localOnly == "" {
+					localOnly = f.Name
+				}
+			}
+		})
+		if localOnly != "" {
+			return fmt.Errorf("-%s needs local execution; drop -addr", localOnly)
 		}
 		return sw.remote(ctx, splitList(*addrs), *workers, *storeURL, time.Duration(*timeoutMS)*time.Millisecond)
 	}
@@ -70,7 +82,17 @@ func sweepCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		warnIfUnreachable(stderr, "sweep", remote)
 		cfg.Store = remote
 	}
-	return sw.local(ctx, cfg, faultScales, *faultBench, *faultN)
+	fc := faultConfig(cfg.Fault)
+	fc.Scales = faultScales
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "fault-bench":
+			fc.Bench = *faultBench
+		case "fault-n":
+			fc.N = *faultN
+		}
+	})
+	return sw.local(ctx, cfg, fc)
 }
 
 // sweep is one sweep run: the entries to run, and where its tables,
@@ -82,10 +104,12 @@ type sweep struct {
 	begin          time.Time
 }
 
-// local runs the entries, then the fault sweep, on one runner, so both
-// share its worker pool, artifact store and in-process memoisation.
-// Each entry and each fault scale counts as one unit.
-func (sw sweep) local(ctx context.Context, cfg runner.Config, faultScales []float64, faultBench string, faultN int) error {
+// local runs the entries, then the fault sweep fc describes (none when
+// fc.Scales is empty), on one runner, so both share its worker pool,
+// artifact store and in-process memoisation. The fault sweep runs on
+// the runner's seed. Each entry and each fault scale counts as one
+// unit.
+func (sw sweep) local(ctx context.Context, cfg runner.Config, fc runner.FaultConfig) error {
 	r, err := runner.New(cfg)
 	if err != nil {
 		return err
@@ -96,7 +120,7 @@ func (sw sweep) local(ctx context.Context, cfg runner.Config, faultScales []floa
 		return err
 	}
 	n, seed := r.Options().N, r.Options().Seed
-	units := len(sw.entries) + len(faultScales)
+	units := len(sw.entries) + len(fc.Scales)
 	fmt.Fprintf(sw.stderr, "mnoc sweep: mode=local radix=%d seed=%d units=%d workers=%d\n",
 		n, seed, units, r.Workers())
 
@@ -115,11 +139,10 @@ func (sw sweep) local(ctx context.Context, cfg runner.Config, faultScales []floa
 	if _, err := sw.stdout.Write(merged.Bytes()); err != nil {
 		return err
 	}
-	sw.storeArtifact(r.Store(), faultScales, n, seed, merged.Bytes())
+	sw.storeArtifact(r.Store(), fc.Scales, n, seed, merged.Bytes())
 
-	if len(faultScales) > 0 {
-		fc := runner.DefaultFaultConfig()
-		fc.Scales, fc.Bench, fc.N, fc.Seed = faultScales, faultBench, faultN, seed
+	if len(fc.Scales) > 0 {
+		fc.Seed = seed
 		res, err := r.FaultSweep(ctx, fc)
 		if err != nil {
 			return err

@@ -1,9 +1,8 @@
-// Command mnoclint runs the repository's domain lint suite: nine
+// Command mnoclint runs the repository's domain lint suite: seven
 // analyzers enforcing determinism of the golden-producing packages,
-// µW/W/dB unit safety, fixed-cardinality telemetry names, context
-// threading, cross-package error wrapping, sync.Pool discipline,
-// goroutine cancellation, RCU publication immutability and hot-path
-// allocation budgets. It is pure stdlib (go/parser + go/types with the
+// µW/W/dB unit safety, context threading, cross-package error
+// wrapping, sync.Pool discipline, goroutine cancellation and RCU
+// publication immutability. It is pure stdlib (go/parser + go/types with the
 // source importer) and needs no network or tool downloads.
 //
 // Usage:

@@ -6,9 +6,9 @@
 // go/analysis, and a runner that applies the repository's
 // `//mnoclint:allow <analyzer> <reason>` suppression directives.
 //
-// The domain analyzers themselves live in subpackages (determinism,
-// units, metricnames, ctxthread, wrapcheck); cmd/mnoclint wires them
-// together. docs/LINT.md documents every rule and the directive
+// The domain analyzers themselves live in subpackages (ctxthread,
+// determinism, goroleak, pooluse, rcupublish, units, wrapcheck), wired
+// into one suite by package registry for cmd/mnoclint. docs/LINT.md documents every rule and the directive
 // grammar.
 package analysis
 

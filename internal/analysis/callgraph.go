@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // Module is the interprocedural view of one lint run: every loaded
@@ -15,9 +14,6 @@ type Module struct {
 	Packages []*Package
 
 	nodes map[*types.Func]*FuncNode
-	// hotRootOf maps every function reachable from a //mnoclint:hot
-	// root to the (lexicographically first) root's full name.
-	hotRootOf map[*types.Func]string
 }
 
 // FuncNode is one declared function or method of the module.
@@ -25,8 +21,6 @@ type FuncNode struct {
 	Fn   *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
-	// Hot marks a //mnoclint:hot root directive on the declaration.
-	Hot bool
 	// Edges are the node's outgoing static call and reference edges.
 	// Bodies of nested function literals (including `go func` bodies)
 	// are attributed to the enclosing declaration.
@@ -74,44 +68,15 @@ func (m *Module) FactsOf(fn *types.Func) *Facts {
 	return nil
 }
 
-// HotRootOf returns the full name of the //mnoclint:hot root fn is
-// reachable from, or "" when fn is not on a hot path.
-func (m *Module) HotRootOf(fn *types.Func) string {
-	if m == nil {
-		return ""
-	}
-	return m.hotRootOf[fn]
-}
-
-// HotRoots returns the module's hot-marked functions sorted by name.
-func (m *Module) HotRoots() []*FuncNode {
-	var roots []*FuncNode
-	for _, n := range m.nodes {
-		if n.Hot {
-			roots = append(roots, n)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool {
-		return roots[i].Fn.FullName() < roots[j].Fn.FullName()
-	})
-	return roots
-}
-
-// BuildModule constructs the call graph and propagates facts. The
-// returned diagnostics report malformed //mnoclint:hot directives
-// (ones not attached to a function declaration).
-func BuildModule(pkgs []*Package) (*Module, []Diagnostic) {
+// BuildModule constructs the call graph and propagates facts.
+func BuildModule(pkgs []*Package) *Module {
 	m := &Module{
-		Packages:  pkgs,
-		nodes:     map[*types.Func]*FuncNode{},
-		hotRootOf: map[*types.Func]string{},
+		Packages: pkgs,
+		nodes:    map[*types.Func]*FuncNode{},
 	}
-	var diags []Diagnostic
 
-	// Pass 1: nodes, hot marks.
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			hotLines := hotDirectiveLines(pkg.Fset, f)
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok {
@@ -123,70 +88,16 @@ func BuildModule(pkgs []*Package) (*Module, []Diagnostic) {
 				}
 				n := &FuncNode{Fn: fn, Decl: fd, Pkg: pkg}
 				n.buildParamIndex()
-				declLine := pkg.Fset.Position(fd.Pos()).Line
-				docLine := declLine
-				if fd.Doc != nil {
-					docLine = pkg.Fset.Position(fd.Doc.Pos()).Line
-				}
-				for line := range hotLines {
-					if line < declLine && line >= docLine-1 {
-						n.Hot = true
-						delete(hotLines, line)
-					}
-				}
-				m.nodes[fn] = n
-			}
-			// Hot directives that matched no declaration are mistakes:
-			// a misplaced root silently un-guards its hot path.
-			var orphan []token.Pos
-			for _, pos := range hotLines {
-				orphan = append(orphan, pos)
-			}
-			sort.Slice(orphan, func(i, j int) bool { return orphan[i] < orphan[j] })
-			for _, pos := range orphan {
-				diags = append(diags, Diagnostic{
-					Pos:      pkg.Fset.Position(pos),
-					Analyzer: directiveAnalyzer,
-					Message:  "hot directive is not attached to a function declaration (put //mnoclint:hot in the doc comment of the root function)",
-				})
-			}
-		}
-	}
-
-	// Pass 2: edges and local facts.
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				if n := m.nodes[fn]; n != nil {
+				if fd.Body != nil {
 					n.collect(pkg.Info)
 				}
+				m.nodes[fn] = n
 			}
 		}
 	}
 
 	m.propagateFacts()
-	m.markHotReachable()
-	return m, diags
-}
-
-// hotDirectiveLines returns line -> pos of every //mnoclint:hot
-// comment in f. Directive validation happens against the declarations
-// (BuildModule); the suppression parser ignores the hot verb.
-func hotDirectiveLines(fset *token.FileSet, f *ast.File) map[int]token.Pos {
-	lines := map[int]token.Pos{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if isHotDirective(c.Text) {
-				lines[fset.Position(c.Pos()).Line] = c.Pos()
-			}
-		}
-	}
-	return lines
+	return m
 }
 
 // buildParamIndex assigns fact indexes: receiver first (methods), then
@@ -232,8 +143,6 @@ func (n *FuncNode) collect(info *types.Info) {
 			consume(node.Fun)
 			n.addCallEdge(info, node)
 			n.localCallFacts(info, node)
-		case *ast.GoStmt:
-			n.Facts.Spawns = true
 		case *ast.SelectStmt:
 			if selectHasReceive(node) {
 				n.Facts.CancelAware = true
@@ -246,12 +155,6 @@ func (n *FuncNode) collect(info *types.Info) {
 			if tv, ok := info.Types[node.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
 					n.Facts.CancelAware = true
-				}
-			}
-		case *ast.CompositeLit:
-			if tv, ok := info.Types[node]; ok {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					n.Facts.Allocates = true
 				}
 			}
 		case *ast.AssignStmt:
@@ -349,24 +252,10 @@ func (n *FuncNode) localCallFacts(info *types.Info, call *ast.CallExpr) {
 		}
 		return
 	}
-	if fn.Pkg() == nil {
-		return
-	}
-	switch fn.Pkg().Path() {
-	case "time":
-		if fn.Name() == "Now" {
-			n.Facts.WallClock = true
-		}
-	case "fmt":
-		if fn.Name() == "Sprintf" {
-			n.Facts.Allocates = true
-		}
-	case "context":
-		// ctx.Err()/ctx.Done() polled outside a select still observe
-		// cancellation.
-		if fn.Name() == "Err" || fn.Name() == "Done" {
-			n.Facts.CancelAware = true
-		}
+	// ctx.Err()/ctx.Done() polled outside a select still observe
+	// cancellation.
+	if fn.Pkg() != nil && fn.Pkg().Path() == "context" && (fn.Name() == "Err" || fn.Name() == "Done") {
+		n.Facts.CancelAware = true
 	}
 	if IsContextMethod(fn, "Err") || IsContextMethod(fn, "Done") {
 		n.Facts.CancelAware = true
@@ -488,31 +377,6 @@ func selectHasReceive(sel *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-// markHotReachable computes the forward closure of every hot root,
-// attributing each reached function to the lexicographically first
-// root that reaches it.
-func (m *Module) markHotReachable() {
-	for _, root := range m.HotRoots() {
-		name := root.Fn.FullName()
-		work := []*FuncNode{root}
-		for len(work) > 0 {
-			n := work[len(work)-1]
-			work = work[:len(work)-1]
-			if _, seen := m.hotRootOf[n.Fn]; seen {
-				continue
-			}
-			m.hotRootOf[n.Fn] = name
-			for _, e := range n.Edges {
-				if next := m.nodes[e.Callee]; next != nil {
-					if _, seen := m.hotRootOf[next.Fn]; !seen {
-						work = append(work, next)
-					}
-				}
-			}
-		}
-	}
 }
 
 // --- shared type helpers for the interprocedural analyzers ---

@@ -55,6 +55,7 @@ func TestRunAcrossPackages(t *testing.T) {
 		{"beta.go", 17, "mnoclint", "unknown analyzer"},
 		{"beta.go", 18, "mnoclint", "has no reason"},
 		{"beta.go", 22, "mnoclint", "suppresses nothing"}, // the well-formed allow above E
+		{"beta.go", 27, "mnoclint", "unknown directive \"//mnoclint:hot\""},
 	}
 	if len(diags) != len(want) {
 		for _, d := range diags {
@@ -68,6 +69,37 @@ func TestRunAcrossPackages(t *testing.T) {
 			d.Analyzer != w.analyzer || !strings.Contains(d.Message, w.msg) {
 			t.Errorf("diag %d = %s, want %s:%d %s %q", i, d, w.file, w.line, w.analyzer, w.msg)
 		}
+	}
+}
+
+// TestOrphanHotDirective pins what became of the retired hot-root
+// marker: a //mnoclint:hot comment is reported once, as an unknown
+// directive, whatever it is attached to.
+func TestOrphanHotDirective(t *testing.T) {
+	loader := analysis.NewFixtureLoader(filepath.Join("testdata", "src"))
+	pkgs, err := loader.Load("...")
+	if err != nil {
+		t.Fatalf("loading fixtures: %v", err)
+	}
+	diags, err := analysis.Run(pkgs, nil)
+	if err != nil {
+		t.Fatalf("running: %v", err)
+	}
+	var hot []analysis.Diagnostic
+	for _, d := range diags {
+		if strings.Contains(d.Message, "//mnoclint:hot") {
+			hot = append(hot, d)
+		}
+	}
+	if len(hot) != 1 {
+		t.Fatalf("hot-directive diagnostics = %v, want exactly one", hot)
+	}
+	d := hot[0]
+	if d.Analyzer != "mnoclint" || !strings.Contains(d.Message, "unknown directive") {
+		t.Errorf("diagnostic = %s, want an unknown-directive report", d)
+	}
+	if filepath.Base(d.Pos.Filename) != "beta.go" || d.Pos.Line != 27 {
+		t.Errorf("diagnostic at %s:%d, want beta.go:27", filepath.Base(d.Pos.Filename), d.Pos.Line)
 	}
 }
 

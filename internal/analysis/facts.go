@@ -4,11 +4,6 @@ package analysis
 // and propagated across call (and method-value) edges to a fixpoint,
 // so a fact established three packages away still reaches the caller:
 //
-//   - Spawns: the function starts a goroutine, directly or through
-//     anything it calls.
-//   - WallClock: the function reads time.Now somewhere beneath it.
-//   - Allocates: the function allocates in one of the forms the
-//     hotalloc analyzer polices (fmt.Sprintf, map literals).
 //   - CancelAware: the function observes cancellation — a select with
 //     a receive case, a channel receive or range, ctx.Done()/ctx.Err(),
 //     or a dynamic call handed a context.Context.
@@ -22,9 +17,6 @@ package analysis
 // flow only through call edges whose argument is itself a caller
 // parameter (Edge.ArgFlow).
 type Facts struct {
-	Spawns      bool
-	WallClock   bool
-	Allocates   bool
 	CancelAware bool
 
 	MutatesParam []bool
@@ -45,15 +37,6 @@ func (m *Module) propagateFacts() {
 					continue
 				}
 				cf := &callee.Facts
-				if cf.Spawns && !n.Facts.Spawns {
-					n.Facts.Spawns, changed = true, true
-				}
-				if cf.WallClock && !n.Facts.WallClock {
-					n.Facts.WallClock, changed = true, true
-				}
-				if cf.Allocates && !n.Facts.Allocates {
-					n.Facts.Allocates, changed = true, true
-				}
 				if cf.CancelAware && !n.Facts.CancelAware {
 					n.Facts.CancelAware, changed = true, true
 				}

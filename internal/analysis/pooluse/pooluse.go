@@ -1,6 +1,6 @@
 // Package pooluse enforces the repository's sync.Pool discipline. The
 // hot paths recycle scratch buffers (sim packet traces, noc replay
-// latencies, power mode scratch, server response buffers); a pooled
+// latencies, power mode scratch); a pooled
 // value that is read after Put races with whoever Gets it next, a
 // value Put without a reset leaks one call's data into another, and a
 // pooled value that escapes into longer-lived state keeps aliasing the

@@ -1,7 +1,8 @@
 // Package rcupublish polices the repository's RCU idiom: config and
 // plan snapshots are published by storing a pointer into an
-// atomic.Pointer (adapt's active plan, power's telemetry handles) and
-// readers Load without locks. The idiom is only sound if a snapshot is
+// atomic.Pointer (adapt's active design, power's telemetry handles and
+// pricing plans, waveguide's path table) and readers Load without
+// locks. The idiom is only sound if a snapshot is
 // immutable the moment it is published — a write to a published value
 // races with every concurrent Load, and a write to a loaded value
 // corrupts the snapshot every other reader holds.

@@ -1,4 +1,4 @@
-// Package registry wires the nine domain analyzers into the single
+// Package registry wires the seven domain analyzers into the single
 // suite cmd/mnoclint and the self-check test run. Adding an analyzer
 // means adding it here, to docs/LINT.md, and a fixture directory under
 // its package.
@@ -9,8 +9,6 @@ import (
 	"mnoc/internal/analysis/ctxthread"
 	"mnoc/internal/analysis/determinism"
 	"mnoc/internal/analysis/goroleak"
-	"mnoc/internal/analysis/hotalloc"
-	"mnoc/internal/analysis/metricnames"
 	"mnoc/internal/analysis/pooluse"
 	"mnoc/internal/analysis/rcupublish"
 	"mnoc/internal/analysis/units"
@@ -24,8 +22,6 @@ func All() []*analysis.Analyzer {
 		ctxthread.Analyzer,
 		determinism.Analyzer,
 		goroleak.Analyzer,
-		hotalloc.Analyzer,
-		metricnames.Analyzer,
 		pooluse.Analyzer,
 		rcupublish.Analyzer,
 		units.Analyzer,

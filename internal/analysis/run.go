@@ -16,8 +16,8 @@ type Suppressed struct {
 // Result is the full outcome of one lint run.
 type Result struct {
 	// Diagnostics are the surviving findings, sorted by position.
-	// Directive problems (malformed allows, stale allows, orphaned hot
-	// markers) appear here under the reserved "mnoclint" name.
+	// Directive problems (malformed and stale allows) appear here
+	// under the reserved "mnoclint" name.
 	Diagnostics []Diagnostic
 	// Suppressed are the findings allow directives excused, sorted.
 	Suppressed []Suppressed
@@ -45,10 +45,11 @@ func RunDetailed(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 		known[a.Name] = true
 	}
 
-	mod, out := BuildModule(pkgs)
+	mod := BuildModule(pkgs)
 
 	// Directive index across every loaded file, plus malformed-
 	// directive findings.
+	var out []Diagnostic
 	fileSup := map[string]suppressions{}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {

@@ -7,19 +7,16 @@ import (
 	"strings"
 )
 
-// DirectivePrefix introduces an mnoclint directive. Two verbs exist:
+// DirectivePrefix introduces an mnoclint directive. One verb exists:
 //
 //	//mnoclint:allow <analyzer> <reason...>
-//	//mnoclint:hot
 //
 // An allow directive suppresses findings of one analyzer on its own
 // line and the line directly below it. The analyzer name must be one
 // of the analyzers in the run, the reason is mandatory (an unexplained
 // suppression is itself a diagnostic), and an allow that suppresses
 // nothing is reported as stale — suppressions never outlive the
-// finding they excused. A hot directive in a function's doc comment
-// marks it as a hotalloc root (see callgraph.go; a hot directive not
-// attached to a function declaration is a diagnostic).
+// finding they excused.
 const DirectivePrefix = "//mnoclint:"
 
 // directiveAnalyzer is the pseudo-analyzer name directive diagnostics
@@ -41,23 +38,11 @@ type allowDirective struct {
 // line number -> analyzer name -> directive.
 type suppressions map[int]map[string]*allowDirective
 
-// isHotDirective reports whether comment text is a //mnoclint:hot
-// root marker (trailing words are tolerated as commentary).
-func isHotDirective(text string) bool {
-	rest, ok := strings.CutPrefix(text, DirectivePrefix)
-	if !ok {
-		return false
-	}
-	verb, _, _ := strings.Cut(rest, " ")
-	return verb == "hot"
-}
-
 // parseDirectives scans a file's comments for mnoclint directives.
 // Well-formed allow directives are returned as suppressions; malformed
 // ones (unknown verb, missing analyzer, missing reason, analyzer not
 // in the run) are reported as diagnostics under the reserved
-// "mnoclint" analyzer name. Hot directives are validated against the
-// declarations by BuildModule, not here.
+// "mnoclint" analyzer name.
 func parseDirectives(fset *token.FileSet, f *ast.File, known map[string]bool, report func(Diagnostic)) suppressions {
 	sup := suppressions{}
 	bad := func(pos token.Pos, format string, args ...any) {
@@ -74,11 +59,8 @@ func parseDirectives(fset *token.FileSet, f *ast.File, known map[string]bool, re
 				continue
 			}
 			verb, args, _ := strings.Cut(rest, " ")
-			if verb == "hot" {
-				continue
-			}
 			if verb != "allow" {
-				bad(c.Pos(), "unknown directive %q: only %sallow and %shot are recognized", DirectivePrefix+verb, DirectivePrefix, DirectivePrefix)
+				bad(c.Pos(), "unknown directive %q: only %sallow is recognized", DirectivePrefix+verb, DirectivePrefix)
 				continue
 			}
 			name, reason, _ := strings.Cut(strings.TrimSpace(args), " ")

@@ -2,19 +2,10 @@
 // here must reach package top through both left and right.
 package base
 
-import "time"
-
-var stamp time.Time
-
 var global *int
 
-// Tick reads the wall clock.
-func Tick() { stamp = time.Now() }
-
-// Spawn starts a goroutine.
-func Spawn(ch chan int) {
-	go func() { ch <- 1 }()
-}
+// Wait receives from ch, so it observes cancellation.
+func Wait(ch chan int) { <-ch }
 
 // Keep stores p beyond the call.
 func Keep(p *int) { global = p }

@@ -3,8 +3,8 @@ package left
 
 import "base"
 
-// Via forwards the spawn fact up to top.
-func Via(ch chan int) { base.Spawn(ch) }
+// Via forwards the cancel-aware fact up to top.
+func Via(ch chan int) { base.Wait(ch) }
 
-// Lone is unreachable from the hot root in top.
+// Lone is reached by nothing and reaches nothing.
 func Lone() {}

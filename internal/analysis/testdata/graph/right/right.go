@@ -1,13 +1,13 @@
-// Package right is the other arm of the diamond, reaching the wall
-// clock only through a method value.
+// Package right is the other arm of the diamond, reaching base only
+// through a method value.
 package right
 
 import "base"
 
-type R struct{}
+type R struct{ ch chan int }
 
-// M reaches the wall clock.
-func (R) M() { base.Tick() }
+// M waits on the receiver's channel.
+func (r R) M() { base.Wait(r.ch) }
 
 // Handle returns r.M as a method value: facts must flow along the
 // reference edge even though there is no call.
@@ -16,5 +16,5 @@ func Handle() func() {
 	return r.M
 }
 
-// Also duplicates left's path to Spawn, closing the diamond.
-func Also(ch chan int) { base.Spawn(ch) }
+// Also duplicates left's path to Wait, closing the diamond.
+func Also(ch chan int) { base.Wait(ch) }

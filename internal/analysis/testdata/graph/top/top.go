@@ -7,11 +7,8 @@ import (
 	"right"
 )
 
-// Top is the hot root; everything it reaches — through either arm,
-// through the method value, and through the local hops below — is on
-// its hot path.
-//
-//mnoclint:hot
+// Top reaches base through either arm, through the method value, and
+// through the local hops below.
 func Top(ch chan int, p *int) {
 	left.Via(ch)
 	right.Also(ch)
@@ -25,11 +22,3 @@ func forward(p *int) { base.Keep(p) }
 
 // writer only mutates p one hop further down.
 func writer(p *int) { base.Write(p) }
-
-// The next directive is attached to a var, not a function: BuildModule
-// must report it as an orphan.
-//
-//mnoclint:hot
-var orphan = 0
-
-var _ = orphan

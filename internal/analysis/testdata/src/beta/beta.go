@@ -21,3 +21,8 @@ func D() int {
 // design, pinning the unused-allow diagnostic.
 //mnoclint:allow flagret exercises the stale-allow diagnostic
 func E() {}
+
+// F carries a retired hot-root marker, now an unknown directive.
+//
+//mnoclint:hot
+func F() {}

@@ -258,7 +258,6 @@ func (c *Context) Telemetry() *telemetry.Registry { return c.reg }
 // asserts on.
 func (c *Context) noteSolve(kind string) {
 	c.reg.Counter("solve.count").Inc()
-	//mnoclint:allow metricnames kind is one of the four fixed solve kinds (shapes/qap/networks/sims); the name set is pinned by testdata/golden/metrics_names.txt
 	c.reg.Counter("solve." + kind).Inc()
 }
 

@@ -243,8 +243,6 @@ type TabooOptions struct {
 // assignment (copied, not mutated) and returns the best found. The
 // tabu tenure is drawn uniformly from [0.9·n, 1.1·n] per move
 // (Taillard's robust scheme).
-//
-//mnoclint:hot
 func (p *Problem) Taboo(start Assignment, opt TabooOptions) Assignment {
 	n := p.N
 	iters := opt.Iterations

@@ -299,3 +299,28 @@ func TestObjectiveInvariantUnderRelabeling(t *testing.T) {
 		t.Errorf("objective mismatch: %v vs %v", a, b)
 	}
 }
+
+// TestTabooAllocationCount pins Taboo's allocations on the
+// BenchmarkQAPTaboo input (radix-64 water_spatial, 100 moves): the
+// search allocates its state once up front, and no move may allocate.
+func TestTabooAllocationCount(t *testing.T) {
+	bench, err := workload.ByName("water_s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := bench.Matrix(64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := FromTraffic(m, waveguide.NewSerpentine(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := p.CenterGreedy()
+	allocs := testing.AllocsPerRun(20, func() {
+		p.Taboo(start, TabooOptions{Seed: 1, Iterations: 100})
+	})
+	if allocs != 6 {
+		t.Errorf("Taboo allocates %.0f times per call, want 6", allocs)
+	}
+}

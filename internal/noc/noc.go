@@ -368,8 +368,6 @@ var replayScratchPool = sync.Pool{
 // Replay runs every packet of the trace through the network (packets
 // must be cycle-sorted, as produced by the generators) and reports
 // latency statistics. The network's contention state is reset first.
-//
-//mnoclint:hot
 func Replay(net Network, tr *trace.Trace) (ReplayStats, error) {
 	return ReplayObserved(net, tr, nil)
 }

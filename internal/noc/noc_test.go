@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"mnoc/internal/telemetry"
@@ -395,4 +396,54 @@ func TestReplayObservedRecordsMetrics(t *testing.T) {
 	if h := snap.Histograms["noc.replay.latency_cycles"]; h.Count != 2 || h.Sum <= 0 {
 		t.Errorf("latency histogram = %+v", h)
 	}
+}
+
+// TestReplayAllocationBound pins Replay's allocations per call on the
+// BenchmarkNoCReplay input: the latency scratch comes from a sync.Pool,
+// so a replay costs a constant handful of allocations however many
+// packets it carries. GC may empty the pool between calls, so the pin
+// is an upper bound rather than an exact count.
+func TestReplayAllocationBound(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	bench, err := workload.ByName("radix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		n   int
+		max float64
+	}{{16, 1}, {256, 2}} {
+		tr, err := bench.Trace(c.n, 100000, 20000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := NewMNoC(c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Replay(net, tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("n=%d: Replay allocates %.0f times per call, want ≤ %.0f", c.n, allocs, c.max)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+// The race detector drops one sync.Pool Put in four at random, so a
+// pooled path's allocation count is exact only without it.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

@@ -249,8 +249,7 @@ func (m *MNoC) telHandles() *telHandles {
 	}
 	h.scratch.New = func() any { s := make([]float64, modes); return &s }
 	for mode := range h.mode {
-		//mnoclint:allow hotalloc handle construction runs once per MNoC (CAS-published below); every later Evaluate reuses the handles
-		h.mode[mode] = m.tel.Histogram(fmt.Sprintf("power.mode%d.source_uw", mode)) //mnoclint:allow metricnames mode count is bounded by the topology (at most a handful per design) and the resulting names are pinned by testdata/golden/metrics_names.txt
+		h.mode[mode] = m.tel.Histogram(fmt.Sprintf("power.mode%d.source_uw", mode))
 	}
 	m.telh.CompareAndSwap(nil, h)
 	return m.telh.Load()
@@ -481,8 +480,6 @@ func (m *MNoC) Evaluate(mtx *trace.Matrix, cycles float64) (Breakdown, error) {
 // draw the telemetry reports accumulates in a register; every sum is
 // added in destination order, as a per-cell walk adds it. As with the
 // view, a worst-case evaluation reports to no metric sink.
-//
-//mnoclint:hot
 func (m *MNoC) EvaluateLoss(mtx *trace.Matrix, cycles float64, model LossModel) (Breakdown, error) {
 	if mtx.N != m.Cfg.N {
 		return Breakdown{}, fmt.Errorf("power: matrix for %d nodes, network for %d", mtx.N, m.Cfg.N)

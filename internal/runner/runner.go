@@ -85,7 +85,6 @@ func registerRunMetrics(reg *telemetry.Registry) {
 		"power.evaluations",
 		"fault.points", "fault.point_errors",
 	} {
-		//mnoclint:allow metricnames warm-up loop over the fixed literal list above; the name set is pinned by testdata/golden/metrics_names.txt
 		reg.Counter(name)
 	}
 	reg.Gauge("runner.queue_depth")

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -89,4 +90,70 @@ func decodeBody(r io.Reader, v any) error {
 		return fmt.Errorf("decode: %w", err)
 	}
 	return nil
+}
+
+// TestDecodePostAllocationCount pins decodePost's allocations for the
+// two BenchmarkRequestDecode bodies, request construction included.
+func TestDecodePostAllocationCount(t *testing.T) {
+	s := &Server{}
+	w := &discardResponseWriter{h: make(http.Header, 2)}
+	for _, tc := range []struct {
+		name string
+		body string
+		v    func() any
+		want float64
+	}{
+		{"evaluate", `{"bench":"fft","policy":"comm4","qap":true,"scale":2.5,"loss_model":"worst"}`, func() any { return new(EvaluateRequest) }, 16},
+		{"solve", `{"bench":"water_s","kind":"dist4","qap":true}`, func() any { return new(SolveRequest) }, 15},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			req, err := http.NewRequest("POST", "/", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.decodePost(w, req, tc.v()) {
+				t.Fatal("decodePost rejected a well-formed body")
+			}
+		})
+		if allocs != tc.want {
+			t.Errorf("%s: decodePost allocates %.0f times per call, want %.0f", tc.name, allocs, tc.want)
+		}
+	}
+}
+
+// TestWriteJSONAllocationBound pins WriteJSON's allocations for the
+// BenchmarkWriteJSON bodies. encoding/json draws its encode state
+// from a sync.Pool, so the pin is an upper bound.
+func TestWriteJSONAllocationBound(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	w := &discardResponseWriter{h: make(http.Header, 2)}
+	for _, tc := range []struct {
+		name string
+		v    any
+		max  float64
+	}{
+		{"solve", &SolveResponse{Bench: "water_s", Kind: "dist4", QAP: true, TotalWatts: 0.0129}, 7},
+		{"evaluate", &EvaluateResponse{Bench: "fft", Policy: "comm4", QAP: true, LossModel: "worst", Speedup: 2.64}, 7},
+	} {
+		allocs := testing.AllocsPerRun(100, func() { WriteJSON(w, 200, tc.v) })
+		if allocs > tc.max {
+			t.Errorf("%s: WriteJSON allocates %.0f times per call, want ≤ %.0f", tc.name, allocs, tc.max)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+// The race detector drops one sync.Pool Put in four at random, so a
+// pooled path's allocation count is exact only without it.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

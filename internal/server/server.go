@@ -579,14 +579,11 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	//mnoclint:allow hotalloc the error envelope is only built for rejected requests, off the measured decode/encode fast path
 	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // decodePost enforces POST + a well-formed JSON body. Unknown fields
 // are rejected so typoed requests fail loudly.
-//
-//mnoclint:hot
 func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("server: %s needs POST", r.URL.Path))
@@ -622,8 +619,6 @@ func slicesContains(list []string, v string) bool {
 // WriteJSON writes v as a JSON response in the two-space-indented form
 // this server has always served (pinned byte for byte by wire_test.go).
 // The fleet proxy writes its own responses through it.
-//
-//mnoclint:hot
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -230,8 +230,6 @@ func (m *Machine) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer
 
 // Run executes one access stream per core to completion and returns the
 // runtime and trace. streams[i] drives core i.
-//
-//mnoclint:hot
 func (m *Machine) Run(streams [][]Access) (*Result, error) {
 	if len(streams) != m.cfg.Cores {
 		return nil, fmt.Errorf("sim: %d streams for %d cores", len(streams), m.cfg.Cores)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"mnoc/internal/noc"
@@ -385,4 +387,65 @@ func TestRunRecordsTelemetry(t *testing.T) {
 	if sp.Component != "sim" || sp.Name != "run."+res.NetworkName || sp.Attrs["cores"] != "8" {
 		t.Errorf("run span = %+v", sp)
 	}
+}
+
+// TestRunAllocationBound pins Machine.Run's allocations on the
+// BenchmarkMulticoreSim input (64 cores, 200 fft accesses per core).
+// Run only on fresh machines — caches and directory state warm across
+// runs — so the machines are built before the measurement starts. The
+// packet buffer comes from a sync.Pool, so the pin is an upper bound.
+func TestRunAllocationBound(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	const cores, runs = 64, 2
+	bench, err := workload.ByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(cores)
+	streams, err := StreamsFromBenchmark(bench, cfg, 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun makes one warm-up call before the measured runs.
+	machines := make([]*Machine, runs+1)
+	for i := range machines {
+		net, err := noc.NewMNoC(cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if machines[i], err = NewMachine(cfg, net); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first collections of a process start the GC's mark-worker
+	// goroutines, whose allocations land in whichever run the collector
+	// happens to interrupt; collecting once up front keeps them out of
+	// the count.
+	runtime.GC()
+	allocs := testing.AllocsPerRun(runs, func() {
+		m := machines[0]
+		machines = machines[1:]
+		if _, err := m.Run(streams); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 39542 {
+		t.Errorf("Run allocates %.0f times per call, want ≤ 39542", allocs)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+// The race detector drops one sync.Pool Put in four at random, so a
+// pooled path's allocation count is exact only without it.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

@@ -372,8 +372,6 @@ func searchCoordinate(modeCosts []phys.MicroWatts, alphas, weights []float64, k 
 // tap ratios and direction split. weights is the assumed fraction of
 // the source's communication in each mode (Equation 1's w_m); it is used
 // only to optimise the α vector.
-//
-//mnoclint:hot
 func Solve(p Params, src int, modeOf []int, weights []float64) (*Design, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -127,7 +127,6 @@ func (a *ActiveSpan) Attr(k, v string) *ActiveSpan {
 		return nil
 	}
 	if a.span.Attrs == nil {
-		//mnoclint:allow hotalloc attrs allocate only when a tracer is attached and an attribute is set; the benchmarked runs trace nothing
 		a.span.Attrs = make(map[string]string, 2)
 	}
 	a.span.Attrs[k] = v
