@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: check fmt-check vet lint lint-json build test race fuzz golden golden-check \
 	golden-everything golden-everything-check paper-check \
-	compare-golden compare-check metrics-golden metrics-check \
+	compare-golden compare-check fault-golden fault-check metrics-golden metrics-check \
 	sweep-check bench bench-check bench-baseline
 
 # The tier-1 gate: everything below must pass before merging.
@@ -100,6 +100,16 @@ compare-golden:
 compare-check:
 	$(GO) run ./cmd/mnoc compare -loss=worst -scale quick > /tmp/compare_worstcase.txt
 	diff -u testdata/golden/compare_worstcase.txt /tmp/compare_worstcase.txt
+
+# Regenerate the golden fault curve: `mnoc fault` at its defaults.
+fault-golden:
+	$(GO) run ./cmd/mnoc fault > testdata/golden/fault_default.txt
+
+# Diff the fault curve against the fixture: pins the fault schedule, the
+# recovery ladder's counts and the delivered fractions and powers.
+fault-check:
+	$(GO) run ./cmd/mnoc fault > /tmp/fault_default.txt
+	diff -u testdata/golden/fault_default.txt /tmp/fault_default.txt
 
 # Regenerate the golden metric-name lists: the quick-scale bench set
 # and the adaptation-loop set (a replay over the committed phase-shift

@@ -97,7 +97,7 @@ func (c *Context) DesignNetwork(ctx context.Context, kind string) (*power.MNoC, 
 		return nil, fmt.Errorf("exp: unknown design kind %q (want one of %v)", kind, DesignKinds())
 	}
 	// A warm network returns here, before the build closure allocates.
-	if net, ok := memoized[*power.MNoC](ctx, c, memoKey{artifact.KindNetwork, key}); ok {
+	if net, ok := memoized[*power.MNoC](ctx, c, memoKey{kind: artifact.KindNetwork, name: key}); ok {
 		return net, nil
 	}
 	return c.network(ctx, key, func(ctx context.Context) (*power.MNoC, error) {
@@ -127,45 +127,77 @@ func (c *Context) EvaluateDesign(ctx context.Context, kind, bench string, mapped
 // normalisation compares like with like (worst-case design against
 // worst-case broadcast). LossAverage reproduces EvaluateDesign exactly.
 // The artifact cache is untouched by the model: each network prices
-// each model from its own pricing plan (power.MNoC.EvaluateLoss),
-// built once per network and model on first use, and the base network's watts
-// are memoised per (bench, model), so a warm call costs one
-// EvaluateLoss of the design.
+// each model from its own pricing plan (power.MNoC.EvaluateLoss).
+// Designs and traffic are immutable for the life of the context, so the
+// price is memoised in process per (kind, bench, mapped, model): a warm
+// call is a memo lookup. Only validated inputs price successfully, so
+// the memo holds at most one entry per design kind, benchmark, mapping
+// and loss model; an unknown model errors before any lookup.
 func (c *Context) EvaluateDesignLoss(ctx context.Context, kind, bench string, mapped bool, model power.LossModel) (power.Breakdown, float64, error) {
-	net, err := c.DesignNetwork(ctx, kind)
+	li, err := lossIndex(model)
 	if err != nil {
 		return power.Breakdown{}, 0, err
+	}
+	mi := 0
+	if mapped {
+		mi = 1
+	}
+	key := memoKey{kind: priceKinds[li][mi], name: bench, design: kind}
+	if p, ok := memoized[designPrice](ctx, c, key); ok {
+		return p.b, p.baseW, nil
+	}
+	v, err := c.memoValue(ctx, key, func(ctx context.Context) (any, error) {
+		return c.priceDesign(ctx, kind, bench, mapped, model)
+	})
+	if err != nil {
+		return power.Breakdown{}, 0, err
+	}
+	p := v.(designPrice)
+	return p.b, p.baseW, nil
+}
+
+// designPrice is one memoised EvaluateDesignLoss result: the design's
+// breakdown and the base network's normalising watts.
+type designPrice struct {
+	b     power.Breakdown
+	baseW float64
+}
+
+// priceDesign is EvaluateDesignLoss's miss path: it evaluates the
+// design on the (optionally mapped) traffic and fetches the base
+// network's watts under the same model.
+func (c *Context) priceDesign(ctx context.Context, kind, bench string, mapped bool, model power.LossModel) (designPrice, error) {
+	net, err := c.DesignNetwork(ctx, kind)
+	if err != nil {
+		return designPrice{}, err
 	}
 	m, err := c.Shape(ctx, bench)
 	if err == nil && mapped {
 		m, err = c.Mapped(ctx, bench)
 	}
 	if err != nil {
-		return power.Breakdown{}, 0, err
+		return designPrice{}, err
 	}
 	b, err := net.EvaluateLoss(m, c.Opt.Cycles, model)
 	if err != nil {
-		return power.Breakdown{}, 0, fmt.Errorf("exp: evaluating design %s on %s: %w", kind, bench, err)
+		return designPrice{}, fmt.Errorf("exp: evaluating design %s on %s: %w", kind, bench, err)
 	}
 	baseW, err := c.baseWatts(ctx, bench, model)
 	if err != nil {
-		return power.Breakdown{}, 0, err
+		return designPrice{}, err
 	}
-	return b, baseW, nil
+	return designPrice{b, baseW}, nil
 }
 
 // baseWatts is the base network's total watts on bench's naive traffic
 // under model, memoised in process: Table 4's power column and the
 // normaliser of every normalised-power table and of EvaluateDesignLoss.
 func (c *Context) baseWatts(ctx context.Context, bench string, model power.LossModel) (float64, error) {
-	key := memoKey{kindBaseAverage, bench}
-	switch model {
-	case "", power.LossAverage:
-	case power.LossWorst:
-		key.kind = kindBaseWorst
-	default:
-		return 0, fmt.Errorf("exp: unknown loss model %q", model)
+	li, err := lossIndex(model)
+	if err != nil {
+		return 0, err
 	}
+	key := memoKey{kind: baseKinds[li], name: bench}
 	if w, ok := memoized[float64](ctx, c, key); ok {
 		return w, nil
 	}

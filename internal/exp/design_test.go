@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"mnoc/internal/power"
@@ -89,27 +90,30 @@ func TestEvaluateDesignLossMatchesReprice(t *testing.T) {
 }
 
 // TestEvaluateDesignLossWarmAllocs pins the allocations of a warm
-// /v1/evaluate loss_model=worst request's exp calls, EvaluateDesignLoss
-// plus Performance. Every accessor hits the memo by a comparable key
-// and both networks price from their worst-case pricing plans, so the count
-// is zero; a regression (a hashed memo key, a per-call repricing)
+// /v1/solve request's exp call (EvaluateDesignLoss under the average
+// model) and of a warm /v1/evaluate loss_model=worst request's
+// (EvaluateDesignLoss plus Performance). Every accessor, the price
+// included, hits the memo by a comparable key, so the count is zero; a
+// regression (a hashed or concatenated memo key, a per-call repricing)
 // shows up here before it shows up in perfbench.
 func TestEvaluateDesignLossWarmAllocs(t *testing.T) {
 	c, err := NewContext(small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	call := func() {
-		if _, _, err := c.EvaluateDesignLoss(bg, DesignComm4, "fft", true, power.LossWorst); err != nil {
-			t.Fatal(err)
+	for _, model := range []power.LossModel{power.LossAverage, power.LossWorst} {
+		call := func() {
+			if _, _, err := c.EvaluateDesignLoss(bg, DesignComm4, "fft", true, model); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.Performance(bg, "fft"); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, _, err := c.Performance(bg, "fft"); err != nil {
-			t.Fatal(err)
+		call()
+		if allocs := testing.AllocsPerRun(50, call); allocs != 0 {
+			t.Errorf("warm EvaluateDesignLoss(%s)+Performance allocates %.1f times per call, want 0", model, allocs)
 		}
-	}
-	call()
-	if allocs := testing.AllocsPerRun(50, call); allocs != 0 {
-		t.Errorf("warm EvaluateDesignLoss(worst)+Performance allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -127,10 +131,10 @@ func TestArtifactKeysUnchanged(t *testing.T) {
 		key  memoKey
 		want artifact.Key
 	}{
-		{memoKey{artifact.KindMatrix, "fft"}, "44f955e37c254c7a091e635881e94f77226b5f5b47697641471bbf33d117029c"},
-		{memoKey{artifact.KindAssignment, "fft"}, "e477f902b87e307714de0afb3fd839e33f121ded48887da786c42ada4cc48b2f"},
-		{memoKey{artifact.KindNetwork, "4M_G_S12"}, "91a5b65affd7b491116d920ef88b9ba4676fbeb176352c3ad72df5f52f39e301"},
-		{memoKey{artifact.KindPerf, "fft"}, "00ba60237f1ece1fc730745bc035e1c7c5b3f46ea9b47208adcce3b5513698f2"},
+		{memoKey{kind: artifact.KindMatrix, name: "fft"}, "44f955e37c254c7a091e635881e94f77226b5f5b47697641471bbf33d117029c"},
+		{memoKey{kind: artifact.KindAssignment, name: "fft"}, "e477f902b87e307714de0afb3fd839e33f121ded48887da786c42ada4cc48b2f"},
+		{memoKey{kind: artifact.KindNetwork, name: "4M_G_S12"}, "91a5b65affd7b491116d920ef88b9ba4676fbeb176352c3ad72df5f52f39e301"},
+		{memoKey{kind: artifact.KindPerf, name: "fft"}, "00ba60237f1ece1fc730745bc035e1c7c5b3f46ea9b47208adcce3b5513698f2"},
 	} {
 		if got := c.artifactKey(tc.key); got != tc.want {
 			t.Errorf("artifactKey(%+v) = %s, want %s", tc.key, got, tc.want)
@@ -138,11 +142,12 @@ func TestArtifactKeysUnchanged(t *testing.T) {
 	}
 }
 
-// TestEvaluateDesignLossCountsDesignOnly checks the telemetry a warm
-// request leaves: an average-loss call adds exactly one
-// power.evaluations (the design's; the base network's watts come from
-// the memo), and a worst-case call adds none, as the repriced view it
-// replaced carried no metric sink.
+// TestEvaluateDesignLossCountsDesignOnly checks the telemetry a
+// request leaves once the base network's watts are memoised: a cold
+// average-loss call adds exactly one power.evaluations (the design's),
+// a cold worst-case call adds none (a worst-case evaluation reports to
+// no metric sink), and a warm call of either model is a memo lookup
+// that adds none.
 func TestEvaluateDesignLossCountsDesignOnly(t *testing.T) {
 	c, err := NewContext(small())
 	if err != nil {
@@ -153,17 +158,109 @@ func TestEvaluateDesignLossCountsDesignOnly(t *testing.T) {
 	evals := reg.Counter("power.evaluations")
 	for _, tc := range []struct {
 		model power.LossModel
-		want  uint64
+		cold  uint64
 	}{{power.LossAverage, 1}, {power.LossWorst, 0}} {
-		if _, _, err := c.EvaluateDesignLoss(bg, DesignComm4, "fft", true, tc.model); err != nil {
+		// Warm what the price reads: the design (whose S12 sample
+		// calibrates every benchmark's shape on the base network) and
+		// the base watts.
+		if _, err := c.DesignNetwork(bg, DesignComm4); err != nil {
 			t.Fatal(err)
 		}
-		before := evals.Value()
-		if _, _, err := c.EvaluateDesignLoss(bg, DesignComm4, "fft", true, tc.model); err != nil {
+		if _, err := c.baseWatts(bg, "fft", tc.model); err != nil {
 			t.Fatal(err)
 		}
-		if got := evals.Value() - before; got != tc.want {
-			t.Errorf("warm %s call added %d power.evaluations, want %d", tc.model, got, tc.want)
+		for _, pass := range []struct {
+			name string
+			want uint64
+		}{{"cold", tc.cold}, {"warm", 0}} {
+			before := evals.Value()
+			if _, _, err := c.EvaluateDesignLoss(bg, DesignComm4, "fft", true, tc.model); err != nil {
+				t.Fatal(err)
+			}
+			if got := evals.Value() - before; got != pass.want {
+				t.Errorf("%s %s call added %d power.evaluations, want %d", pass.name, tc.model, got, pass.want)
+			}
+		}
+	}
+}
+
+// TestEvaluateDesignLossConcurrentColdPricesOnce cold-calls every
+// (kind, bench, mapped, model) from 8 goroutines on a fresh context.
+// The goroutines start at keys that differ from the first one's in
+// exactly one field (model, mapping, benchmark or kind), so a flight
+// key that drops a field coalesces two different misses: the follower
+// then gets the leader's price, and its own key is never memoised.
+// Every result must equal the reprice oracle, every key must be
+// memoised, and each average-model key must have been priced exactly
+// once (worst-case evaluations report to no counter).
+func TestEvaluateDesignLossConcurrentColdPricesOnce(t *testing.T) {
+	c, err := NewContext(small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	c.Instrument(reg, nil)
+	type tuple struct {
+		kind, bench string
+		mapped      bool
+		model       power.LossModel
+	}
+	var keys []tuple
+	for _, kind := range DesignKinds() {
+		for _, b := range c.Benchmarks() {
+			for _, mapped := range []bool{false, true} {
+				for _, model := range []power.LossModel{power.LossAverage, power.LossWorst} {
+					keys = append(keys, tuple{kind, b.Name, mapped, model})
+				}
+			}
+		}
+	}
+	// Index strides of one model, mapping, benchmark and kind step.
+	benchStep, kindStep := 4, 4*len(c.Benchmarks())
+	starts := []int{0, 1, 2, benchStep, kindStep, kindStep + 1, kindStep + 2, kindStep + benchStep}
+	got := make([][]designPrice, len(starts))
+	var wg sync.WaitGroup
+	for g, start := range starts {
+		got[g] = make([]designPrice, len(keys))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range keys {
+				k := (start + i) % len(keys)
+				tu := keys[k]
+				b, baseW, err := c.EvaluateDesignLoss(bg, tu.kind, tu.bench, tu.mapped, tu.model)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][k] = designPrice{b, baseW}
+			}
+		}()
+	}
+	wg.Wait()
+	// Each average key prices its design once; each benchmark's shape
+	// calibration and its average base watts evaluate the base network
+	// once each.
+	if got, want := reg.Counter("power.evaluations").Value(), uint64(len(keys)/2+2*len(c.Benchmarks())); got != want {
+		t.Errorf("power.evaluations = %d after the cold calls, want %d (one per average key, two per benchmark)", got, want)
+	}
+	memoised := 0
+	c.mu.Lock()
+	for k := range c.memo {
+		if k.design != "" {
+			memoised++
+		}
+	}
+	c.mu.Unlock()
+	if memoised != len(keys) {
+		t.Errorf("%d prices memoised, want %d", memoised, len(keys))
+	}
+	for k, tu := range keys {
+		want, wantBase := repriceReference(t, c, tu.kind, tu.bench, tu.mapped, tu.model)
+		for g := range starts {
+			if p := got[g][k]; p.b != want || p.baseW != wantBase {
+				t.Errorf("goroutine %d, %+v: got %+v, base %v; want %+v, base %v", g, tu, p.b, p.baseW, want, wantBase)
+			}
 		}
 	}
 }

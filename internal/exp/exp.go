@@ -285,21 +285,44 @@ func (c *Context) key(kind string, version int) *artifact.KeyBuilder {
 
 // memoKey names one in-process artefact: kind is its family (an
 // artifact kind such as artifact.KindMatrix, or an in-process-only one
-// such as kindMapped) and name the benchmark, design point or sample
-// set within it. Every other input of the artifact key (options and
-// device-configuration fingerprint) is fixed for the life of a
-// Context, so the pair alone is unique in the memo and a hit compares
-// two strings instead of hashing; the SHA-256 artifact key is derived
-// (artifactKey) only when the store is consulted.
-type memoKey struct{ kind, name string }
+// such as kindMapped), name the benchmark, design point or sample set
+// within it, and design the design kind a price family prices (empty
+// in every other family). Every other input of the artifact key
+// (options and device-configuration fingerprint) is fixed for the life
+// of a Context, so the fields alone are unique in the memo and a hit
+// compares strings instead of hashing; the SHA-256 artifact key is
+// derived (artifactKey) only when the store is consulted.
+type memoKey struct{ kind, name, design string }
 
 // The in-process-only memo families: they never reach the store.
 const (
-	kindMapped      = "mapped"
-	kindSampled     = "sampled"
-	kindBaseAverage = "basewatts/" + string(power.LossAverage)
-	kindBaseWorst   = "basewatts/" + string(power.LossWorst)
+	kindMapped  = "mapped"
+	kindSampled = "sampled"
 )
+
+// baseKinds names the base network's watts family per loss model, and
+// priceKinds the design-price family per loss model and mapping (naive,
+// then QAP-mapped); both index the model by lossIndex. They are
+// in-process only.
+var (
+	baseKinds  = [2]string{"basewatts/average", "basewatts/worst"}
+	priceKinds = [2][2]string{
+		{"price/average", "price/average/qap"},
+		{"price/worst", "price/worst/qap"},
+	}
+)
+
+// lossIndex is model's index into baseKinds and priceKinds: "" and
+// average share index 0, worst is 1, and any other model is an error.
+func lossIndex(model power.LossModel) (int, error) {
+	switch model {
+	case "", power.LossAverage:
+		return 0, nil
+	case power.LossWorst:
+		return 1, nil
+	}
+	return 0, fmt.Errorf("exp: unknown loss model %q", model)
+}
 
 // artifactKey is the store key of a stored memo family's artefact.
 func (c *Context) artifactKey(k memoKey) artifact.Key {
@@ -350,7 +373,7 @@ func (c *Context) memoValue(ctx context.Context, key memoKey, fn func(context.Co
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return c.flights.Do(ctx, key.kind+"\x00"+key.name, func(fctx context.Context) (any, error) {
+	return c.flights.Do(ctx, key.kind+"\x00"+key.name+"\x00"+key.design, func(fctx context.Context) (any, error) {
 		// A flight that finished between the caller's lookup and Do has
 		// already memoised the value; reuse it rather than rebuild.
 		if v, ok := memoized[any](fctx, c, key); ok {
@@ -401,7 +424,7 @@ func (c *Context) Base() *power.MNoC { return c.base }
 
 // Shape returns the benchmark's calibrated thread-indexed traffic.
 func (c *Context) Shape(ctx context.Context, name string) (*trace.Matrix, error) {
-	key := memoKey{artifact.KindMatrix, name}
+	key := memoKey{kind: artifact.KindMatrix, name: name}
 	if m, ok := memoized[*trace.Matrix](ctx, c, key); ok {
 		return m, nil
 	}
@@ -429,7 +452,7 @@ func (c *Context) Shape(ctx context.Context, name string) (*trace.Matrix, error)
 // QAPMapping returns the benchmark's taboo-search thread mapping
 // (solved once, then served from the artifact store).
 func (c *Context) QAPMapping(ctx context.Context, name string) (mapping.Assignment, error) {
-	key := memoKey{artifact.KindAssignment, name}
+	key := memoKey{kind: artifact.KindAssignment, name: name}
 	if a, ok := memoized[mapping.Assignment](ctx, c, key); ok {
 		return a, nil
 	}
@@ -458,7 +481,7 @@ func (c *Context) QAPMapping(ctx context.Context, name string) (mapping.Assignme
 // in-process only — the shape and mapping it derives from are the
 // cached artefacts.
 func (c *Context) Mapped(ctx context.Context, name string) (*trace.Matrix, error) {
-	key := memoKey{kindMapped, name}
+	key := memoKey{kind: kindMapped, name: name}
 	if m, ok := memoized[*trace.Matrix](ctx, c, key); ok {
 		return m, nil
 	}
@@ -491,7 +514,7 @@ func (c *Context) SampledMatrix(ctx context.Context, names []string) (*trace.Mat
 	if len(names) == 0 {
 		return nil, fmt.Errorf("exp: empty sample set")
 	}
-	key := memoKey{kindSampled, strings.Join(names, ",")}
+	key := memoKey{kind: kindSampled, name: strings.Join(names, ",")}
 	if m, ok := memoized[*trace.Matrix](ctx, c, key); ok {
 		return m, nil
 	}
@@ -520,7 +543,7 @@ func (c *Context) SampledMatrix(ctx context.Context, names []string) (*trace.Mat
 // addresses the solved design, so warm runs skip the splitter solves.
 // build receives the flight's context and must use it, not a caller's.
 func (c *Context) network(ctx context.Context, key string, build func(context.Context) (*power.MNoC, error)) (*power.MNoC, error) {
-	mkey := memoKey{artifact.KindNetwork, key}
+	mkey := memoKey{kind: artifact.KindNetwork, name: key}
 	if n, ok := memoized[*power.MNoC](ctx, c, mkey); ok {
 		return n, nil
 	}

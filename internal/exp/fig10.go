@@ -30,7 +30,7 @@ type perfResult struct {
 // radix, seed and per-core access count), so warm runs skip the
 // simulations entirely.
 func (c *Context) Performance(ctx context.Context, bench string) (mnocCycles, rnocCycles uint64, err error) {
-	key := memoKey{artifact.KindPerf, bench}
+	key := memoKey{kind: artifact.KindPerf, name: bench}
 	if r, ok := memoized[perfResult](ctx, c, key); ok {
 		return r.mnocCycles, r.rnocCycles, nil
 	}

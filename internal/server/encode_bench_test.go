@@ -5,9 +5,6 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"runtime/debug"
 	"strings"
@@ -64,6 +61,8 @@ func BenchmarkRequestDecode(b *testing.B) {
 		{"evaluate", evaluate, func() any { return new(EvaluateRequest) }},
 		{"solve", `{"bench":"water_s","kind":"dist4","qap":true}`, func() any { return new(SolveRequest) }},
 	}
+	s := &Server{}
+	w := &discardResponseWriter{h: make(http.Header, 2)}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -73,23 +72,12 @@ func BenchmarkRequestDecode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := decodeBody(req.Body, tc.v()); err != nil {
-					b.Fatal(err)
+				if !s.decodePost(w, req, tc.v()) {
+					b.Fatal("decodePost rejected a well-formed body")
 				}
 			}
 		})
 	}
-}
-
-// decodeBody mirrors decodePost's decoding discipline without the
-// ResponseWriter plumbing, so the benchmark isolates parse cost.
-func decodeBody(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decode: %w", err)
-	}
-	return nil
 }
 
 // TestDecodePostAllocationCount pins decodePost's allocations for the
