@@ -3,6 +3,7 @@ package adapt
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -241,7 +242,12 @@ func TestMarginBoundRejectsCandidate(t *testing.T) {
 
 // TestAtomicSwapUnderConcurrentReaders hammers Active() from reader
 // goroutines while the controller swaps designs — under -race this is
-// the torn-design regression test.
+// the torn-design regression test. Each reader copies the design the
+// moment it loads it. Reader 0 does nothing else: pricing traffic and
+// tracking generations synchronise through shared atomics, which can
+// order a reader after the controller. The readers stop only once
+// reader 0 has copied the final design, so a write made to it after
+// its publication races with that copy.
 func TestAtomicSwapUnderConcurrentReaders(t *testing.T) {
 	c, err := NewController(testConfig())
 	if err != nil {
@@ -254,18 +260,25 @@ func TestAtomicSwapUnderConcurrentReaders(t *testing.T) {
 	probeM := probe.Matrix()
 
 	var stop atomic.Bool
+	var copied atomic.Pointer[Design] // the design reader 0 copied last
 	var lastGen atomic.Uint64
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	for r := 0; r < 4; r++ {
+		copyOnly := r == 0
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				d := c.Active()
+				p := c.Active()
+				d := *p
 				if d.Net == nil || len(d.Assignment) != testN || d.Ref == nil {
 					errs <- fmt.Errorf("torn design observed at gen %d", d.Gen)
 					return
+				}
+				if copyOnly {
+					copied.Store(p)
+					continue
 				}
 				if _, err := d.EvaluatePower(probeM, 1000); err != nil {
 					errs <- err
@@ -288,6 +301,11 @@ func TestAtomicSwapUnderConcurrentReaders(t *testing.T) {
 	}
 	if err := c.Replay(phaseShiftTrace(t, 1), nil); err != nil {
 		t.Fatalf("Replay: %v", err)
+	}
+	// Stopping orders the readers after every write the controller
+	// made, so reader 0 must copy the final design first.
+	for copied.Load() != c.Active() && len(errs) == 0 {
+		runtime.Gosched()
 	}
 	stop.Store(true)
 	wg.Wait()

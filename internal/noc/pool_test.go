@@ -1,10 +1,11 @@
 // Concurrency test for ReplayObserved's pooled latency scratch (run
 // under -race by `make check`): many replays share the pool, and every
-// replay's percentiles must match a reference computed before the pool
-// existed in any warmed state.
+// replay's stats must match a reference replay, whose percentiles in
+// turn must match a plain sort of the packets' latencies.
 package noc
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -30,9 +31,35 @@ func replayFixture(t *testing.T, n, packets int) *trace.Trace {
 	return tr
 }
 
+// sortedPercentiles sends tr through a fresh network packet by packet
+// and sorts the latencies: Replay's P50 and P99 without its scratch.
+func sortedPercentiles(t *testing.T, tr *trace.Trace) (p50, p99 uint64) {
+	t.Helper()
+	net, err := NewMNoC(tr.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lats := make([]uint64, len(tr.Packets))
+	for i, p := range tr.Packets {
+		arr, err := net.Send(p.Cycle, int(p.Src), int(p.Dst), int(p.Flits))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lats[i] = arr - p.Cycle
+	}
+	slices.Sort(lats)
+	return lats[len(lats)/2], lats[len(lats)*99/100]
+}
+
 func TestReplayLatsPoolConcurrent(t *testing.T) {
 	const n = 16
 	traces := []*trace.Trace{
+		// 13 packets whose latencies reach 12: the count buffer spans
+		// the whole latency slice, so a replay whose latencies share
+		// their backing array with its counts (a scratch handed back
+		// to the pool too early and drawn again) corrupts both
+		// percentiles.
+		replayFixture(t, n, 13),
 		replayFixture(t, n, 50),
 		replayFixture(t, n, 500),
 		replayFixture(t, n, 2000),
@@ -46,6 +73,10 @@ func TestReplayLatsPoolConcurrent(t *testing.T) {
 		wants[i], err = Replay(net, tr)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if p50, p99 := sortedPercentiles(t, tr); wants[i].P50Latency != p50 || wants[i].P99Latency != p99 {
+			t.Fatalf("trace %d: percentiles %d/%d, sorted reference %d/%d",
+				i, wants[i].P50Latency, wants[i].P99Latency, p50, p99)
 		}
 	}
 

@@ -5,6 +5,7 @@
 package sim
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -118,6 +119,10 @@ func TestPacketPoolConcurrent(t *testing.T) {
 						j.want.RuntimeCycles, len(j.want.Trace.Packets))
 				}
 				res.Recycle()
+				// Yield, so the next Run on this P, usually another
+				// worker's, draws the buffer just returned: a buffer
+				// written after its Put then races with its next owner.
+				runtime.Gosched()
 			}
 		}()
 	}
