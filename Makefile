@@ -22,9 +22,10 @@ vet:
 	$(GO) vet ./...
 
 # The domain lint suite (cmd/mnoclint, docs/LINT.md): determinism,
-# unit-safety, context threading, error wrapping, sync.Pool
-# discipline, goroutine cancellation and RCU publication. Pure stdlib,
-# so it runs offline like everything else here.
+# unit-safety, context threading, error wrapping and goroutine
+# cancellation. Pure stdlib, so it runs offline like everything else
+# here. sync.Pool and atomic.Pointer discipline is checked by the -race
+# tests `make race` runs.
 lint:
 	$(GO) run ./cmd/mnoclint ./...
 

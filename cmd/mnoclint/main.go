@@ -1,9 +1,9 @@
-// Command mnoclint runs the repository's domain lint suite: seven
-// analyzers enforcing determinism of the golden-producing packages,
-// µW/W/dB unit safety, context threading, cross-package error
-// wrapping, sync.Pool discipline, goroutine cancellation and RCU
-// publication immutability. It is pure stdlib (go/parser + go/types with the
-// source importer) and needs no network or tool downloads.
+// Command mnoclint runs the repository's domain lint suite: five
+// per-package analyzers enforcing determinism of the golden-producing
+// packages, µW/W/dB unit safety, context threading, cross-package error
+// wrapping and goroutine cancellation. It is pure stdlib (go/parser +
+// go/types with the source importer) and needs no network or tool
+// downloads.
 //
 // Usage:
 //

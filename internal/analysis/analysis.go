@@ -7,9 +7,9 @@
 // `//mnoclint:allow <analyzer> <reason>` suppression directives.
 //
 // The domain analyzers themselves live in subpackages (ctxthread,
-// determinism, goroleak, pooluse, rcupublish, units, wrapcheck), wired
-// into one suite by package registry for cmd/mnoclint. docs/LINT.md documents every rule and the directive
-// grammar.
+// determinism, goroleak, units, wrapcheck), wired into one suite by
+// package registry for cmd/mnoclint. Each analyzer sees one package at
+// a time. docs/LINT.md documents every rule and the directive grammar.
 package analysis
 
 import (
@@ -38,17 +38,13 @@ type Analyzer struct {
 	Run func(pass *Pass) error
 }
 
-// Pass carries one type-checked package through one analyzer. Module
-// is the interprocedural view shared by every pass of the run — the
-// whole-module call graph and cross-package facts (callgraph.go,
-// facts.go); per-package analyzers can ignore it.
+// Pass carries one type-checked package through one analyzer.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	Module   *Module
 
 	report func(Diagnostic)
 }
@@ -161,4 +157,28 @@ func MentionsPackage(info *types.Info, expr ast.Expr, want string) bool {
 // IsErrorType reports whether t is the built-in error interface.
 func IsErrorType(t types.Type) bool {
 	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
+}
+
+// IsContextType reports whether t is context.Context (or an identical
+// named interface from a fixture's context stand-in package).
+func IsContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Context" && PackageMatches(obj.Pkg(), "context")
+}
+
+// IsContextMethod reports whether fn is the method name on
+// context.Context (matched through the receiver or interface).
+func IsContextMethod(fn *types.Func, name string) bool {
+	if fn == nil || fn.Name() != name {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	return IsContextType(sig.Recv().Type())
 }

@@ -6,20 +6,22 @@
 // never observes shutdown accumulates across config reloads and drains
 // until the process is OOM-killed mid-sweep.
 //
-// A spawn is accepted when the analyzer can see a way for it to stop:
+// A spawn is accepted when the analyzer can see a way for it to stop,
+// from the spawn site alone:
 //
-//   - the spawned function literal receives from a channel, selects on
-//     a receive, ranges over a channel, or calls ctx.Done()/ctx.Err();
-//   - it calls a function whose propagated CancelAware fact is set —
-//     the cancellation check may live three packages away;
-//   - a dynamic call (through a function value) is handed a
-//     context.Context, delegating cancellation to whatever runs;
-//   - a named spawned function is CancelAware per the module facts.
+//   - the spawned call, or any call inside the spawned function
+//     literal, is handed a context.Context, delegating cancellation to
+//     the callee;
+//   - the literal receives from a channel, selects on a receive, or
+//     ranges over a channel;
+//   - the literal calls ctx.Done() or ctx.Err().
 //
 // Everything else is a finding. Goroutines that genuinely terminate on
 // their own (a bounded worker draining a closed channel it also
 // closes, an http Serve loop stopped by closing the listener) carry an
-// //mnoclint:allow goroleak directive stating that reason.
+// //mnoclint:allow goroleak directive stating that reason. A callee
+// handed a context is trusted to watch it; the tests that stop each
+// service and count its goroutines hold it to that.
 package goroleak
 
 import (
@@ -34,8 +36,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "goroleak",
 	Doc: "goroutines in internal/server, internal/fleet, internal/adapt, internal/flight and internal/fanout must have " +
-		"a cancellation path (receive, select, ctx.Done/Err, or a cancel-aware callee per module facts) " +
-		"or an //mnoclint:allow explaining how they terminate",
+		"a cancellation path (a context handed to the spawned call or to a call in its body, a receive, select, " +
+		"channel range, or ctx.Done/Err) or an //mnoclint:allow explaining how they terminate",
 	Run: run,
 }
 
@@ -70,42 +72,40 @@ func run(pass *analysis.Pass) error {
 
 func checkSpawn(pass *analysis.Pass, gs *ast.GoStmt) {
 	call := gs.Call
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.FuncLit:
-		if bodyCancelAware(pass, fun.Body) {
+	if handedContext(pass.Info, call) {
+		return
+	}
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+		if bodyCancelAware(pass.Info, lit.Body) {
 			return
 		}
 		pass.Reportf(gs.Pos(),
 			"goroutine has no cancellation path: the function literal never receives, selects, observes a context, or calls anything cancel-aware, so shutdown cannot stop it")
-	default:
-		callee := analysis.CalleeFunc(pass.Info, call)
-		if callee == nil {
-			// Spawning through a function value: accepted when a context
-			// travels with the call, otherwise nothing ties its lifetime
-			// to anything.
-			for _, arg := range call.Args {
-				if tv, ok := pass.Info.Types[arg]; ok && analysis.IsContextType(tv.Type) {
-					return
-				}
-			}
-			pass.Reportf(gs.Pos(),
-				"goroutine spawned through a function value without a context: nothing ties its lifetime to shutdown")
-			return
-		}
-		if facts := pass.Module.FactsOf(callee); facts != nil && facts.CancelAware {
-			return
-		}
-		if analysis.IsContextMethod(callee, "Err") || analysis.IsContextMethod(callee, "Done") {
-			return
-		}
-		pass.Reportf(gs.Pos(),
-			"goroutine running %s has no cancellation path: neither it nor anything it calls receives, selects, or observes a context", callee.Name())
+		return
 	}
+	if callee := analysis.CalleeFunc(pass.Info, call); callee != nil {
+		pass.Reportf(gs.Pos(),
+			"goroutine running %s has no cancellation path: it is handed no context, so nothing ties its lifetime to shutdown", callee.Name())
+		return
+	}
+	pass.Reportf(gs.Pos(),
+		"goroutine spawned through a function value without a context: nothing ties its lifetime to shutdown")
 }
 
-// bodyCancelAware reports whether body locally observes cancellation or
-// calls something that does (per the module's propagated facts).
-func bodyCancelAware(pass *analysis.Pass, body *ast.BlockStmt) bool {
+// handedContext reports whether any argument of call is a
+// context.Context.
+func handedContext(info *types.Info, call *ast.CallExpr) bool {
+	for _, arg := range call.Args {
+		if tv, ok := info.Types[arg]; ok && analysis.IsContextType(tv.Type) {
+			return true
+		}
+	}
+	return false
+}
+
+// bodyCancelAware reports whether body receives, selects, ranges over a
+// channel, calls ctx.Done/Err, or hands a context to a call.
+func bodyCancelAware(info *types.Info, body *ast.BlockStmt) bool {
 	aware := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if aware {
@@ -114,32 +114,15 @@ func bodyCancelAware(pass *analysis.Pass, body *ast.BlockStmt) bool {
 		switch n := n.(type) {
 		case *ast.UnaryExpr:
 			// Covers bare receives and receive cases inside selects.
-			if n.Op == token.ARROW {
-				aware = true
-			}
+			aware = n.Op == token.ARROW
 		case *ast.RangeStmt:
-			if tv, ok := pass.Info.Types[n.X]; ok {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					aware = true
-				}
+			if tv, ok := info.Types[n.X]; ok {
+				_, aware = tv.Type.Underlying().(*types.Chan)
 			}
 		case *ast.CallExpr:
-			callee := analysis.CalleeFunc(pass.Info, n)
-			if callee == nil {
-				for _, arg := range n.Args {
-					if tv, ok := pass.Info.Types[arg]; ok && analysis.IsContextType(tv.Type) {
-						aware = true
-					}
-				}
-				break
-			}
-			if analysis.IsContextMethod(callee, "Err") || analysis.IsContextMethod(callee, "Done") {
-				aware = true
-				break
-			}
-			if facts := pass.Module.FactsOf(callee); facts != nil && facts.CancelAware {
-				aware = true
-			}
+			callee := analysis.CalleeFunc(info, n)
+			aware = handedContext(info, n) ||
+				analysis.IsContextMethod(callee, "Err") || analysis.IsContextMethod(callee, "Done")
 		}
 		return !aware
 	})

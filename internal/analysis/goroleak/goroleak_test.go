@@ -8,7 +8,7 @@ import (
 )
 
 func TestGoroLeak(t *testing.T) {
-	// work supplies the cross-package cancel-aware callees; other is a
-	// package outside the analyzer's scope whose spawn must stay clean.
+	// work supplies the cross-package callees; other is a package
+	// outside the analyzer's scope whose spawn must stay clean.
 	analysistest.Run(t, goroleak.Analyzer, "server", "work", "other")
 }

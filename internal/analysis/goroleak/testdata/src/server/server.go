@@ -26,7 +26,7 @@ func okNamedCallee(ctx context.Context, ch chan int) {
 }
 
 // okTransitive spawns a function whose cancellation check is one more
-// call away — only the propagated fact can clear it.
+// call away; the context it is handed clears it at the spawn site.
 func okTransitive(ctx context.Context, ch chan int) {
 	go work.Relay(ctx, ch)
 }

@@ -1,6 +1,7 @@
-// Package work gives the goroleak fixtures cross-package callees: the
-// cancellation check lives here, and the fact must reach the spawn
-// site through the module graph.
+// Package work gives the goroleak fixtures cross-package callees. The
+// spawn sites accept Pump and Relay because they are handed a context,
+// and flag Spin because it is handed none; the analyzer never reads
+// these bodies.
 package work
 
 import "context"
@@ -17,8 +18,7 @@ func Pump(ctx context.Context, ch chan int) {
 	}
 }
 
-// Relay delegates to Pump; cancel-awareness must propagate through the
-// extra hop.
+// Relay delegates to Pump, one call further from the spawn site.
 func Relay(ctx context.Context, ch chan int) { Pump(ctx, ch) }
 
 // Spin never observes anything.

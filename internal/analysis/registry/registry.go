@@ -1,4 +1,4 @@
-// Package registry wires the seven domain analyzers into the single
+// Package registry wires the five domain analyzers into the single
 // suite cmd/mnoclint and the self-check test run. Adding an analyzer
 // means adding it here, to docs/LINT.md, and a fixture directory under
 // its package.
@@ -9,8 +9,6 @@ import (
 	"mnoc/internal/analysis/ctxthread"
 	"mnoc/internal/analysis/determinism"
 	"mnoc/internal/analysis/goroleak"
-	"mnoc/internal/analysis/pooluse"
-	"mnoc/internal/analysis/rcupublish"
 	"mnoc/internal/analysis/units"
 	"mnoc/internal/analysis/wrapcheck"
 )
@@ -22,8 +20,6 @@ func All() []*analysis.Analyzer {
 		ctxthread.Analyzer,
 		determinism.Analyzer,
 		goroleak.Analyzer,
-		pooluse.Analyzer,
-		rcupublish.Analyzer,
 		units.Analyzer,
 		wrapcheck.Analyzer,
 	}

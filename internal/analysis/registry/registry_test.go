@@ -7,11 +7,10 @@ import (
 )
 
 // TestSuiteComplete pins the analyzer roster (what `mnoclint -list`
-// prints): all seven analyzers, stable alphabetical order, documented.
+// prints): all five analyzers, stable alphabetical order, documented.
 func TestSuiteComplete(t *testing.T) {
 	want := []string{
-		"ctxthread", "determinism", "goroleak", "pooluse",
-		"rcupublish", "units", "wrapcheck",
+		"ctxthread", "determinism", "goroleak", "units", "wrapcheck",
 	}
 	all := registry.All()
 	if len(all) != len(want) {

@@ -37,15 +37,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // RunDetailed is Run, additionally reporting the suppressed findings.
-// The interprocedural module (call graph + facts) is built once over
-// the full package set and shared by every pass.
 func RunDetailed(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-
-	mod := BuildModule(pkgs)
 
 	// Directive index across every loaded file, plus malformed-
 	// directive findings.
@@ -69,7 +65,6 @@ func RunDetailed(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				Module:   mod,
 				report:   func(d Diagnostic) { raw = append(raw, d) },
 			}
 			if err := a.Run(pass); err != nil {

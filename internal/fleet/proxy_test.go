@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -320,4 +321,43 @@ func TestHealthProbeEvictsAndReadmits(t *testing.T) {
 	if snap.Counters[MetricProxyEvictions] != 1 || snap.Counters[MetricProxyReadmissions] != 1 {
 		t.Fatalf("transition counters %v, want 1 eviction + 1 readmission", snap.Counters)
 	}
+}
+
+// TestProxyServeStopsProber pins that the health prober Serve starts
+// exits when Serve returns: after a probe has run and Serve has
+// drained, the goroutine count falls back to what it was before Serve.
+func TestProxyServeStopsProber(t *testing.T) {
+	a, ts := newStubBackend(t, "A")
+	p, err := NewProxy(ProxyConfig{Backends: []string{ts.URL}, HealthInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- p.Serve(ctx, "127.0.0.1:0", time.Second, nil) }()
+	waitUntil(t, func() bool { return a.count() > 0 }) // the prober has probed
+	cancel()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	// The prober's keep-alive connection holds a client read/write loop
+	// and a stub-side handler until it is closed; only a prober still
+	// running can keep the count up after that.
+	waitUntil(t, func() bool {
+		p.health.client.CloseIdleConnections()
+		return runtime.NumGoroutine() <= baseline
+	})
+}
+
+// waitUntil polls cond for up to five seconds.
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		if cond() {
+			return
+		}
+	}
+	t.Fatal("condition not reached within 5s")
 }

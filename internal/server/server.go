@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -339,6 +340,11 @@ type EvaluateResponse struct {
 	Speedup float64 `json:"speedup"`
 }
 
+// errScaleOverflow rejects a traffic scale that drives the scaled
+// wattage past the float64 range: JSON has no Inf, so the reply could
+// not be encoded. statusFor maps it to 400.
+var errScaleOverflow = errors.New("server: scaled power is not a finite number")
+
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req EvaluateRequest
 	if !s.decodePost(w, r, &req) {
@@ -377,6 +383,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
+		total, base := b.TotalWatts()*req.Scale, baseW*req.Scale
+		if math.IsInf(total, 0) || math.IsInf(base, 0) {
+			return nil, fmt.Errorf("%w at traffic scale %g", errScaleOverflow, req.Scale)
+		}
 		mc, rc, err := c.Performance(ctx, req.Bench)
 		if err != nil {
 			return nil, err
@@ -387,8 +397,8 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			QAP:        req.QAP,
 			Scale:      req.Scale,
 			LossModel:  echo,
-			TotalWatts: b.TotalWatts() * req.Scale,
-			BaseWatts:  baseW * req.Scale,
+			TotalWatts: total,
+			BaseWatts:  base,
 			MNoCCycles: mc,
 			RNoCCycles: rc,
 			Speedup:    float64(rc) / float64(mc),
@@ -556,6 +566,8 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, errOverloaded):
 		return http.StatusTooManyRequests
+	case errors.Is(err, errScaleOverflow):
+		return http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):

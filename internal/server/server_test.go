@@ -138,6 +138,7 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/solve", SolveRequest{Bench: "fft", Kind: "nope"}},
 		{"/v1/solve", map[string]any{"bench": "fft", "typo_field": 1}},
 		{"/v1/evaluate", EvaluateRequest{Bench: "fft", Policy: "base", Scale: -1}},
+		{"/v1/evaluate", EvaluateRequest{Bench: "fft", Policy: "base", Scale: 1e308}},
 		{"/v1/bench", BenchRequest{ID: "nope"}},
 		{"/v1/bench", BenchRequest{}},
 	} {
