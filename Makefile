@@ -5,7 +5,8 @@ GO ?= go
 
 .PHONY: check fmt-check vet lint lint-json build test race fuzz golden golden-check \
 	golden-everything golden-everything-check paper-check \
-	compare-golden compare-check fault-golden fault-check metrics-golden metrics-check \
+	compare-golden compare-check fault-golden fault-check adapt-golden adapt-check \
+	metrics-golden metrics-check \
 	sweep-check bench bench-check bench-baseline
 
 # The tier-1 gate: everything below must pass before merging.
@@ -111,6 +112,22 @@ fault-golden:
 fault-check:
 	$(GO) run ./cmd/mnoc fault > /tmp/fault_default.txt
 	diff -u testdata/golden/fault_default.txt /tmp/fault_default.txt
+
+# Regenerate the golden adaptation log under faults: the phase-shift
+# trace replayed against the fault schedule `mnoc fault -save-schedule`
+# writes at its defaults (the scale-4 point). Only stdout is kept; the
+# summary line with its wall time goes to stderr.
+adapt-golden:
+	$(GO) run ./cmd/mnoc replay -trace testdata/adapt/phase_shift.trace \
+		-faults testdata/adapt/fault_default.sched > testdata/golden/adapt_faults.txt
+
+# Diff the adaptation log under faults against the fixture: pins the
+# controller's loss estimate and its escalation-margin rejection, the
+# two places the adaptation loop reads the fault checker.
+adapt-check:
+	$(GO) run ./cmd/mnoc replay -trace testdata/adapt/phase_shift.trace \
+		-faults testdata/adapt/fault_default.sched > /tmp/adapt_faults.txt
+	diff -u testdata/golden/adapt_faults.txt /tmp/adapt_faults.txt
 
 # Regenerate the golden metric-name lists: the quick-scale bench set
 # and the adaptation-loop set (a replay over the committed phase-shift
