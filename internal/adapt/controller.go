@@ -213,7 +213,8 @@ func (c *Controller) Observe(p trace.Packet) error {
 	if c.checker != nil {
 		d := c.active.Load()
 		c.offered++
-		if err := c.checker.Deliverable(p.Cycle, d.Assignment[p.Src], d.Assignment[p.Dst]); err != nil {
+		src, dst := d.Assignment[p.Src], d.Assignment[p.Dst]
+		if !c.checker.Check(p.Cycle, src, dst, c.checker.Budget.NominalMode(src, dst), 0).Delivered {
 			c.lost++
 		}
 	}

@@ -25,13 +25,11 @@
 package dynamic
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"mnoc/internal/fault"
 	"mnoc/internal/mapping"
-	"mnoc/internal/noc"
 	"mnoc/internal/phys"
 	"mnoc/internal/power"
 	"mnoc/internal/trace"
@@ -361,25 +359,19 @@ func (r *runState) deliver(cycle uint64, srcThread, dstThread, flits int) (bool,
 		if at > r.lastCycle {
 			r.lastCycle = at
 		}
-		err := r.checker.DeliverableWithUplift(at, src, dst, mode, uplift)
-		if err == nil {
+		v := r.checker.Check(at, src, dst, mode, uplift)
+		if v.Delivered {
 			r.res.Delivered++
 			return true, shortfalls
 		}
-		var de *noc.DeliveryError
-		if !errors.As(err, &de) {
-			// The checker only emits DeliveryErrors; anything else
-			// would be a bug — treat it as an undeliverable packet.
-			return false, shortfalls
-		}
-		if de.ShortfallDB > 0 {
+		if v.ShortfallDB > 0 {
 			shortfalls++
 		}
-		if de.Fatal || attempt >= r.pol.MaxAttempts {
+		if v.Fatal || attempt >= r.pol.MaxAttempts {
 			return false, shortfalls
 		}
 		r.res.Retries++
-		if de.ShortfallDB > 0 && mode < maxMode {
+		if v.ShortfallDB > 0 && mode < maxMode {
 			mode++
 			r.res.Escalations++
 		}

@@ -13,8 +13,9 @@
 // style self-adaptation under loss): QD LEDs die or lose efficiency,
 // chromophore receivers bleach, fabricated taps drift out of their
 // guard band, waveguides break, thermal epochs add broadband loss, and
-// individual packets are corrupted. Detection happens in package noc
-// (a typed DeliveryError from Send); recovery lives in package dynamic.
+// individual packets are corrupted. Checker decides delivery; recovery
+// lives in package dynamic, and package adapt reads the same decision
+// for its loss estimate.
 package fault
 
 import (
@@ -84,27 +85,6 @@ func KindFromString(s string) (Kind, error) {
 		}
 	}
 	return 0, fmt.Errorf("fault: unknown kind %q", s)
-}
-
-// Permanent reports whether the kind describes irreversible device
-// damage (it still honours an explicit DurationCycles if one is set,
-// but the injector always emits these with duration 0).
-func (k Kind) Permanent() bool {
-	switch k {
-	case LEDDeath, ReceiverDeath, WaveguideBreak:
-		return true
-	}
-	return false
-}
-
-// Fatal reports whether the kind makes delivery impossible regardless
-// of drive power (as opposed to charging extra dB of loss).
-func (k Kind) Fatal() bool {
-	switch k {
-	case LEDDeath, ReceiverDeath, WaveguideBreak:
-		return true
-	}
-	return false
 }
 
 // Fault is one scheduled fault event.

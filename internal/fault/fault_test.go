@@ -2,11 +2,9 @@ package fault
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"testing"
 
-	"mnoc/internal/noc"
 	"mnoc/internal/power"
 	"mnoc/internal/topo"
 )
@@ -119,7 +117,7 @@ func TestStateLossSemantics(t *testing.T) {
 		t.Fatalf("loss before onset: %+v", l)
 	}
 	// LED death: fatal for everything node 0 sends, not what it receives.
-	if l := st.Loss(50, 0, 1); !l.Fatal || l.Reason != LEDDeath {
+	if l := st.Loss(50, 0, 1); !l.Fatal {
 		t.Fatalf("LED death not fatal: %+v", l)
 	}
 	if l := st.Loss(50, 1, 0); l.Fatal {
@@ -138,7 +136,7 @@ func TestStateLossSemantics(t *testing.T) {
 		t.Fatalf("tap drift leaked to other pair: %+v", l)
 	}
 	// Guide break between 4 and 5 on node 2's guide: 2→6 severed, 2→3 fine.
-	if l := st.Loss(50, 2, 6); !l.Fatal || l.Reason != WaveguideBreak {
+	if l := st.Loss(50, 2, 6); !l.Fatal {
 		t.Fatalf("break did not sever far side: %+v", l)
 	}
 	if l := st.Loss(50, 2, 3); l.Fatal {
@@ -231,60 +229,56 @@ func TestCheckerMarginAndGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewChecker(st, b)
+	nominal := func(dst int) Verdict { return c.Check(5, 0, dst, b.NominalMode(0, dst), 0) }
 
-	err = c.Deliverable(5, 0, low)
-	var de *noc.DeliveryError
-	if !errors.As(err, &de) {
-		t.Fatalf("expected DeliveryError, got %v", err)
+	v := nominal(low)
+	if v.Delivered || v.Fatal {
+		t.Fatalf("bleach misclassified: %+v", v)
 	}
-	if de.Fatal || de.Transient {
-		t.Fatalf("bleach misclassified: %+v", de)
+	if math.Abs(float64(v.ShortfallDB-sev)) > 1e-9 {
+		t.Fatalf("shortfall = %g, want %g", v.ShortfallDB, sev)
 	}
-	if math.Abs(float64(de.ShortfallDB-sev)) > 1e-9 {
-		t.Fatalf("shortfall = %g, want %g", de.ShortfallDB, sev)
+	if v := c.Check(5, 0, low, 1, 0); !v.Delivered {
+		t.Fatalf("escalated mode should deliver: %+v", v)
 	}
-	if err := c.DeliverableAt(5, 0, low, 1); err != nil {
-		t.Fatalf("escalated mode should deliver: %v", err)
+	if v := c.Check(5, 0, low, b.NominalMode(0, low), sev+0.1); !v.Delivered {
+		t.Fatalf("drive uplift should deliver: %+v", v)
 	}
 	c.GuardDB = sev + 0.1
-	if err := c.Deliverable(5, 0, low); err != nil {
-		t.Fatalf("guard band should deliver: %v", err)
+	if v := nominal(low); !v.Delivered {
+		t.Fatalf("guard band should deliver: %+v", v)
 	}
 
 	// Deliveries to the high-mode destination are unaffected.
-	if err := c.Deliverable(5, 0, high); err != nil {
-		t.Fatalf("unaffected pair failed: %v", err)
+	if v := nominal(high); !v.Delivered {
+		t.Fatalf("unaffected pair failed: %+v", v)
 	}
-}
 
-func TestFaultyNetworkSend(t *testing.T) {
-	net := testNet(t, 8)
-	b := NewBudget(net)
-	s := &Schedule{N: 8, Cycles: 1000, Faults: []Fault{
+	// A dead receiver is fatal, with no shortfall: no drive power
+	// reaches it, so recovery neither escalates nor retries.
+	st, err = NewState(&Schedule{N: 8, Cycles: 1000, Faults: []Fault{
 		{Cycle: 0, Kind: ReceiverDeath, Node: 3, Aux: -1},
-	}}
-	st, err := NewState(s)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := noc.NewMNoC(8)
-	if err != nil {
-		t.Fatal(err)
+	c = NewChecker(st, b)
+	if v := nominal(1); !v.Delivered {
+		t.Fatalf("healthy pair failed: %+v", v)
 	}
-	fn := noc.WithFaults(inner, NewChecker(st, b))
+	if v := nominal(3); v.Delivered || !v.Fatal || v.ShortfallDB != 0 {
+		t.Fatalf("dead receiver: %+v, want fatal with no shortfall", v)
+	}
 
-	if _, err := fn.Send(0, 0, 1, 1); err != nil {
-		t.Fatalf("healthy pair failed: %v", err)
+	// A dropped packet is lost but neither fatal nor short, so the
+	// recovery ladder retries it without counting it toward the
+	// guard-band trigger.
+	st, err = NewState(&Schedule{N: 8, Cycles: 1000, DropRate: 1, DropSeed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	arr, err := fn.Send(0, 0, 3, 1)
-	var de *noc.DeliveryError
-	if !errors.As(err, &de) || !de.Fatal {
-		t.Fatalf("dead receiver: arr=%d err=%v", arr, err)
-	}
-	if arr == 0 {
-		t.Fatal("failed Send should report the NACK-detection cycle")
-	}
-	if noc.WithFaults(inner, nil) != noc.Network(inner) {
-		t.Fatal("nil fault model should be a no-op wrap")
+	c = NewChecker(st, b)
+	if v := nominal(low); v.Delivered || v.Fatal || v.ShortfallDB != 0 {
+		t.Fatalf("dropped packet: %+v, want undelivered, not fatal, no shortfall", v)
 	}
 }

@@ -2,15 +2,13 @@
 // cycle c and what do they cost this src→dst transmission", Budget
 // answers "how much optical margin does the solved power topology give
 // that transmission at a given drive mode", and Checker combines the
-// two into the noc.FaultModel detection decision.
+// two into the delivery Verdict.
 
 package fault
 
 import (
-	"fmt"
 	"math"
 
-	"mnoc/internal/noc"
 	"mnoc/internal/phys"
 	"mnoc/internal/power"
 )
@@ -51,9 +49,6 @@ func NewState(s *Schedule) (*State, error) {
 	return st, nil
 }
 
-// Schedule returns the underlying schedule.
-func (st *State) Schedule() *Schedule { return st.sched }
-
 // PathLoss is the fault-induced loss on one src→dst transmission.
 type PathLoss struct {
 	// PermanentDB / TransientDB split the extra loss by whether it will
@@ -64,9 +59,6 @@ type PathLoss struct {
 	// Fatal is set when no drive power delivers (dead device, severed
 	// guide between the endpoints).
 	Fatal bool
-	// Reason is the kind of the dominant contributor (largest dB, or
-	// the fatal fault).
-	Reason Kind
 }
 
 // TotalDB is the combined extra loss.
@@ -76,7 +68,6 @@ func (p PathLoss) TotalDB() phys.Decibels { return p.PermanentDB + p.TransientDB
 // cycle.
 func (st *State) Loss(cycle uint64, src, dst int) PathLoss {
 	var out PathLoss
-	worst := phys.Decibels(-1)
 	apply := func(f Fault) {
 		if !f.ActiveAt(cycle) {
 			return
@@ -84,11 +75,9 @@ func (st *State) Loss(cycle uint64, src, dst int) PathLoss {
 		switch f.Kind {
 		case LEDDeath, ReceiverDeath:
 			out.Fatal = true
-			out.Reason = f.Kind
 		case WaveguideBreak:
 			if breakSevers(src, dst, f.Aux) {
 				out.Fatal = true
-				out.Reason = f.Kind
 			}
 		case TapDrift:
 			if f.Aux != dst {
@@ -96,15 +85,10 @@ func (st *State) Loss(cycle uint64, src, dst int) PathLoss {
 			}
 			fallthrough
 		case LEDDegrade, ReceiverBleach, ThermalDrift:
-			db := f.SeverityDB
 			if f.DurationCycles != 0 {
-				out.TransientDB += db
+				out.TransientDB += f.SeverityDB
 			} else {
-				out.PermanentDB += db
-			}
-			if !out.Fatal && db > worst {
-				worst = db
-				out.Reason = f.Kind
+				out.PermanentDB += f.SeverityDB
 			}
 		}
 	}
@@ -226,12 +210,12 @@ func (b *Budget) MarginDB(src, dst, mode int) phys.Decibels {
 	return b.alphaDB[src][b.modeOf[src][dst]] - b.alphaDB[src][mode]
 }
 
-// Checker is the detection decision: it combines a fault State, a
-// power-topology Budget and the current guard band into the
-// noc.FaultModel contract. GuardDB models the per-mode drive-current
-// uplift a real controller programs into the QD LED drivers
-// (Section 3.2.2) — recovery raises it at a power cost of
-// 10^(GuardDB/10) on every transmission.
+// Checker is the delivery decision: it combines a fault State, a
+// power-topology Budget and the current guard band into a Verdict per
+// transmission. GuardDB models the per-mode drive-current uplift a real
+// controller programs into the QD LED drivers (Section 3.2.2) —
+// recovery raises it at a power cost of 10^(GuardDB/10) on every
+// transmission.
 type Checker struct {
 	State   *State
 	Budget  *Budget
@@ -243,63 +227,36 @@ func NewChecker(st *State, b *Budget) *Checker {
 	return &Checker{State: st, Budget: b}
 }
 
-// Deliverable implements noc.FaultModel: the fault-oblivious decision,
-// with the transmission driven at its nominal (lowest assigned) mode.
-func (c *Checker) Deliverable(cycle uint64, src, dst int) error {
-	return c.DeliverableAt(cycle, src, dst, c.Budget.NominalMode(src, dst))
+// Verdict is the checker's decision on one transmission.
+type Verdict struct {
+	// Delivered reports that the destination detected at least Pmin.
+	Delivered bool
+	// Fatal marks a failure no drive power fixes (dead device, severed
+	// guide).
+	Fatal bool
+	// ShortfallDB is how far below the detection threshold the
+	// delivered power fell. It is 0 when the failure is not a power
+	// shortfall: a dropped packet or a fatal fault.
+	ShortfallDB phys.Decibels
 }
 
-// DeliverableAt decides delivery for a transmission driven at an
-// explicit mode (the power-escalation retry path). It returns nil or a
-// *noc.DeliveryError.
-func (c *Checker) DeliverableAt(cycle uint64, src, dst, mode int) error {
-	return c.DeliverableWithUplift(cycle, src, dst, mode, 0)
-}
-
-// DeliverableWithUplift additionally credits a per-transmission drive
-// uplift in dB — the retry-boost rung of the recovery ladder, where a
-// NACKed packet is re-driven at higher LED current without touching the
-// chip-wide guard band. The caller charges the matching power.
-func (c *Checker) DeliverableWithUplift(cycle uint64, src, dst, mode int, upliftDB phys.Decibels) error {
+// Check decides delivery of a src→dst transmission injected at cycle
+// and driven at mode, crediting a per-transmission drive uplift in dB
+// (the retry-boost rung of the recovery ladder, where a failed packet
+// is re-driven at higher LED current without touching the chip-wide
+// guard band; the caller charges the matching power). Pass
+// Budget.NominalMode and no uplift for the fault-oblivious decision.
+func (c *Checker) Check(cycle uint64, src, dst, mode int, upliftDB phys.Decibels) Verdict {
 	if c.State.Dropped(cycle, src, dst) {
-		return &noc.DeliveryError{
-			Cycle: cycle, Src: src, Dst: dst,
-			Reason: "packet-drop", Transient: true,
-		}
+		return Verdict{}
 	}
 	loss := c.State.Loss(cycle, src, dst)
 	if loss.Fatal {
-		return &noc.DeliveryError{
-			Cycle: cycle, Src: src, Dst: dst,
-			Reason: loss.Reason.String(), Fatal: true,
-		}
+		return Verdict{Fatal: true}
 	}
-	credit := c.Budget.MarginDB(src, dst, mode) + c.GuardDB + upliftDB
-	margin := credit - loss.TotalDB()
+	margin := c.Budget.MarginDB(src, dst, mode) + c.GuardDB + upliftDB - loss.TotalDB()
 	if margin < -marginTol {
-		return &noc.DeliveryError{
-			Cycle: cycle, Src: src, Dst: dst,
-			Reason:      loss.Reason.String(),
-			ShortfallDB: -margin,
-			// The failure clears on its own if the permanent loss alone
-			// fits in the margin.
-			Transient: credit-loss.PermanentDB >= -marginTol,
-		}
+		return Verdict{ShortfallDB: -margin}
 	}
-	return nil
-}
-
-// ensure the contract holds at compile time.
-var _ noc.FaultModel = (*Checker)(nil)
-
-// FatalPairErr is a convenience for tests: it reports whether err is a
-// fatal DeliveryError.
-func FatalPairErr(err error) bool {
-	de, ok := err.(*noc.DeliveryError)
-	return ok && de.Fatal
-}
-
-// String renders the checker's knob state (for recovery action logs).
-func (c *Checker) String() string {
-	return fmt.Sprintf("guard=%.2fdB", c.GuardDB)
+	return Verdict{Delivered: true}
 }

@@ -80,7 +80,6 @@ func registerRunMetrics(reg *telemetry.Registry) {
 		"solve.count", "solve.shapes", "solve.qap", "solve.networks", "solve.sims",
 		"runner.entries", "runner.entry_errors",
 		"sim.runs", "sim.accesses", "sim.l2_misses", "sim.packets",
-		"sim.sends", "sim.retries", "sim.nacks", "sim.lost",
 		"noc.replay.packets", "noc.replay.flits",
 		"power.evaluations",
 		"fault.points", "fault.point_errors",

@@ -8,7 +8,6 @@ package sim
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -45,15 +44,6 @@ type Config struct {
 	// Protocol selects the coherence protocol (MOSI default, or MSI
 	// for the ablation of the Owned state).
 	Protocol coherence.Protocol
-	// MaxSendRetries bounds how often a transmission rejected by the
-	// network's fault model (noc.DeliveryError) is retried. The failed
-	// attempt still occupies the waveguide and burns power; the retry is
-	// injected once the NACK is learnt (the would-be arrival cycle) plus
-	// RetryBackoffCycles. 0 models a fault-oblivious machine: every
-	// failed transmission is immediately a lost packet.
-	MaxSendRetries int
-	// RetryBackoffCycles is the extra wait before each retry.
-	RetryBackoffCycles uint64
 }
 
 // DefaultConfig is the paper's Table 2 core model.
@@ -69,9 +59,6 @@ func DefaultConfig(cores int) Config {
 		L2HitCycles: 6,
 		MemCycles:   100,
 		ThinkCycles: 2,
-
-		MaxSendRetries:     3,
-		RetryBackoffCycles: 4,
 	}
 }
 
@@ -82,9 +69,6 @@ func (c Config) Validate() error {
 	}
 	if c.L1HitCycles == 0 || c.L2HitCycles == 0 || c.MemCycles == 0 {
 		return fmt.Errorf("sim: zero latency in %+v", c)
-	}
-	if c.MaxSendRetries < 0 {
-		return fmt.Errorf("sim: MaxSendRetries = %d", c.MaxSendRetries)
 	}
 	return nil
 }
@@ -112,16 +96,6 @@ type Result struct {
 	L2Misses      uint64
 	Directory     coherence.Stats
 	NetworkName   string
-	// Sends counts every network transmission attempt (including retries
-	// of NACKed packets); Retries counts the re-attempts among them;
-	// NACKs counts attempts the fault model rejected non-fatally;
-	// LostPackets counts messages never delivered — NACKed with the retry
-	// budget exhausted, or failed fatally (dead device). All four are 0
-	// on a fault-free network.
-	Sends       uint64
-	Retries     uint64
-	NACKs       uint64
-	LostPackets uint64
 	// Trace is the packet log of every network message.
 	Trace *trace.Trace
 }
@@ -182,8 +156,6 @@ type Machine struct {
 	// event heap and playTransaction's per-stage coalesce-group set).
 	heapScratch  coreHeap
 	groupScratch []int
-	// Reliability counters for the current run (see Result).
-	sends, retries, nacks, lost uint64
 	// Optional telemetry sinks (SetTelemetry); nil-safe handles make
 	// every metric call a no-op when unset.
 	reg    *telemetry.Registry
@@ -220,8 +192,7 @@ func NewMachine(cfg Config, net noc.Network) (*Machine, error) {
 }
 
 // SetTelemetry attaches metric and span sinks: each Run then bumps the
-// sim.* counters (runs, accesses, L2 misses, packets, sends, retries,
-// NACKs, lost) and records one span per simulation. Either argument
+// sim.* counters (runs, accesses, L2 misses, packets) and records one span per simulation. Either argument
 // may be nil. Not safe to call concurrently with Run.
 func (m *Machine) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	m.reg = reg
@@ -241,7 +212,6 @@ func (m *Machine) Run(streams [][]Access) (*Result, error) {
 		m.packets = *packetBufPool.Get().(*[]trace.Packet)
 	}
 	m.packets = m.packets[:0]
-	m.sends, m.retries, m.nacks, m.lost = 0, 0, 0, 0
 
 	h := m.heapScratch[:0]
 	for i, c := range m.cores {
@@ -287,19 +257,11 @@ func (m *Machine) Run(streams [][]Access) (*Result, error) {
 		L2Misses:      misses,
 		Directory:     m.dir.Stats,
 		NetworkName:   m.net.Name(),
-		Sends:         m.sends,
-		Retries:       m.retries,
-		NACKs:         m.nacks,
-		LostPackets:   m.lost,
 	}
 	m.reg.Counter("sim.runs").Inc()
 	m.reg.Counter("sim.accesses").Add(accesses)
 	m.reg.Counter("sim.l2_misses").Add(misses)
 	m.reg.Counter("sim.packets").Add(uint64(len(m.packets)))
-	m.reg.Counter("sim.sends").Add(m.sends)
-	m.reg.Counter("sim.retries").Add(m.retries)
-	m.reg.Counter("sim.nacks").Add(m.nacks)
-	m.reg.Counter("sim.lost").Add(m.lost)
 	if misses > 0 {
 		res.AvgMemLatency = missLatencySum / float64(misses)
 	}
@@ -428,44 +390,17 @@ func (m *Machine) playTransaction(start uint64, tx coherence.Transaction) (uint6
 	return stageStart, nil
 }
 
-// netSend injects one message, retrying transmissions the network's
-// fault model NACKs (up to Config.MaxSendRetries). Every attempt —
-// including failed ones — occupied the waveguide and burnt source
-// power, so each is logged in the packet trace; the power analysis then
-// charges retries automatically. A message that fails fatally or
-// exhausts its retry budget is counted lost and the simulation
-// continues (an exhausted real machine would fall back to software
-// recovery; modelling that is out of scope), so only structural errors
-// propagate.
+// netSend injects one message and logs it in the packet trace, which
+// the power analysis then charges.
 func (m *Machine) netSend(at uint64, src, dst, flits int) (uint64, error) {
-	for attempt := 0; ; attempt++ {
-		arr, err := m.net.Send(at, src, dst, flits)
-		if err != nil {
-			var de *noc.DeliveryError
-			if !errors.As(err, &de) {
-				return 0, err
-			}
-			m.sends++
-			m.packets = append(m.packets, trace.Packet{
-				Cycle: at, Src: int32(src), Dst: int32(dst), Flits: int32(flits),
-			})
-			if !de.Fatal {
-				m.nacks++
-			}
-			if de.Fatal || attempt >= m.cfg.MaxSendRetries {
-				m.lost++
-				return arr, nil
-			}
-			m.retries++
-			at = arr + m.cfg.RetryBackoffCycles
-			continue
-		}
-		m.sends++
-		m.packets = append(m.packets, trace.Packet{
-			Cycle: at, Src: int32(src), Dst: int32(dst), Flits: int32(flits),
-		})
-		return arr, nil
+	arr, err := m.net.Send(at, src, dst, flits)
+	if err != nil {
+		return 0, err
 	}
+	m.packets = append(m.packets, trace.Packet{
+		Cycle: at, Src: int32(src), Dst: int32(dst), Flits: int32(flits),
+	})
+	return arr, nil
 }
 
 func containsInt(s []int, v int) bool {

@@ -366,9 +366,6 @@ func TestRunRecordsTelemetry(t *testing.T) {
 		"sim.accesses":  uint64(res.Accesses),
 		"sim.l2_misses": uint64(res.L2Misses),
 		"sim.packets":   uint64(len(res.Trace.Packets)),
-		"sim.retries":   res.Retries,
-		"sim.nacks":     res.NACKs,
-		"sim.lost":      res.LostPackets,
 	} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
