@@ -146,7 +146,7 @@ func TestRecoveryDeterminism(t *testing.T) {
 			} {
 				*pts = append(*pts, stats.ReliabilityPoint{
 					Scale: scale, Offered: res.Offered, Delivered: res.Delivered,
-					Retries: res.Retries, PowerW: res.AvgPowerW, RuntimeCycles: res.RuntimeCycles,
+					Retries: res.Retries, PowerW: res.AvgPowerW,
 				})
 			}
 			// Action logs must replay identically too.

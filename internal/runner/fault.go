@@ -205,11 +205,10 @@ func (res *FaultSweepResult) SaveSchedule(path string) error {
 // reliabilityPoint converts a run result into a curve point.
 func reliabilityPoint(scale float64, r *dynamic.FaultResult) stats.ReliabilityPoint {
 	return stats.ReliabilityPoint{
-		Scale:         scale,
-		Offered:       r.Offered,
-		Delivered:     r.Delivered,
-		Retries:       r.Retries,
-		PowerW:        r.AvgPowerW,
-		RuntimeCycles: r.RuntimeCycles,
+		Scale:     scale,
+		Offered:   r.Offered,
+		Delivered: r.Delivered,
+		Retries:   r.Retries,
+		PowerW:    r.AvgPowerW,
 	}
 }

@@ -19,10 +19,8 @@ type ReliabilityPoint struct {
 	// network; Retries counts re-transmissions the recovery layer issued.
 	Offered, Delivered uint64
 	Retries            uint64
-	// PowerW is the run's average network power; RuntimeCycles its
-	// horizon including retry tails.
-	PowerW        float64
-	RuntimeCycles uint64
+	// PowerW is the run's average network power.
+	PowerW float64
 }
 
 // DeliveredFrac is the point's reliability (1 for an idle run).
@@ -50,8 +48,8 @@ func (c *ReliabilityCurve) Render(w io.Writer) error {
 	if len(c.Baseline) == 0 {
 		return fmt.Errorf("stats: empty reliability curve")
 	}
-	if _, err := fmt.Fprintf(w, "%8s  %10s  %12s  %12s  %9s  %12s  %12s  %10s\n",
-		"scale", "offered", "base-frac", "rec-frac", "retries", "base-mW", "rec-mW", "rt-ovh"); err != nil {
+	if _, err := fmt.Fprintf(w, "%8s  %10s  %12s  %12s  %9s  %12s  %12s\n",
+		"scale", "offered", "base-frac", "rec-frac", "retries", "base-mW", "rec-mW"); err != nil {
 		return err
 	}
 	for i, b := range c.Baseline {
@@ -59,13 +57,9 @@ func (c *ReliabilityCurve) Render(w io.Writer) error {
 		if b.Offered != r.Offered {
 			return fmt.Errorf("stats: point %d offered mismatch (%d vs %d)", i, b.Offered, r.Offered)
 		}
-		rtOvh := 0.0
-		if b.RuntimeCycles > 0 {
-			rtOvh = float64(r.RuntimeCycles)/float64(b.RuntimeCycles) - 1
-		}
-		if _, err := fmt.Fprintf(w, "%8.2f  %10d  %12.6f  %12.6f  %9d  %12.4f  %12.4f  %9.4f%%\n",
+		if _, err := fmt.Fprintf(w, "%8.2f  %10d  %12.6f  %12.6f  %9d  %12.4f  %12.4f\n",
 			b.Scale, b.Offered, b.DeliveredFrac(), r.DeliveredFrac(),
-			r.Retries, b.PowerW*1e3, r.PowerW*1e3, rtOvh*100); err != nil {
+			r.Retries, b.PowerW*1e3, r.PowerW*1e3); err != nil {
 			return err
 		}
 	}
