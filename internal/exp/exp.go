@@ -235,9 +235,6 @@ func NewContextWithStore(opt Options, store artifact.Store) (*Context, error) {
 	}, nil
 }
 
-// Store exposes the context's artifact store (for cache statistics).
-func (c *Context) Store() artifact.Store { return c.store }
-
 // Instrument attaches telemetry sinks: solve counters (solve.count and
 // per-kind solve.*), artifact decode timings and spans around the
 // expensive builds flow into reg/tracer. Call before any concurrent
@@ -248,10 +245,6 @@ func (c *Context) Instrument(reg *telemetry.Registry, tracer *telemetry.Tracer) 
 	c.tracer = tracer
 	c.base.Instrument(reg)
 }
-
-// Telemetry returns the context's metric registry (nil when
-// uninstrumented).
-func (c *Context) Telemetry() *telemetry.Registry { return c.reg }
 
 // noteSolve mirrors one expensive build into the registry: the total
 // solve.count plus the per-kind counter the warm-cache regression

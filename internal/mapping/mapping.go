@@ -494,10 +494,3 @@ func sortByAsc(idx []int, key []float64) {
 		return idx[a] < idx[b]
 	})
 }
-
-// Solve runs the paper's preferred pipeline: CenterGreedy start, then
-// robust taboo ("we explore both Taboo and simulated annealing, and
-// find that Taboo generally performs best").
-func (p *Problem) Solve(seed int64) Assignment {
-	return p.Taboo(p.CenterGreedy(), TabooOptions{Seed: seed})
-}

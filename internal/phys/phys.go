@@ -37,7 +37,7 @@ type Decibels float64
 
 // MicroJoules is an energy in µJ. Because 1 µW · 1 s = 1 µJ, the µ
 // prefix carries through power·time products with no conversion
-// factor (see MicroWatts.EnergyOver).
+// factor.
 type MicroJoules float64
 
 // Transmission is a transmitted power fraction in (0, 1].
@@ -59,12 +59,6 @@ func (p MicroWatts) Scale(k float64) MicroWatts { return p * MicroWatts(k) }
 // Div divides by a dimensionless factor.
 func (p MicroWatts) Div(k float64) MicroWatts { return p / MicroWatts(k) }
 
-// EnergyOver is the energy dissipated by drawing p for a duration in
-// seconds: E[µJ] = P[µW] · t[s].
-func (p MicroWatts) EnergyOver(seconds float64) MicroJoules {
-	return MicroJoules(float64(p) * seconds)
-}
-
 // Linear converts the decibel value to a linear power ratio. Positive
 // dB is gain (>1), negative dB is loss (<1).
 func (d Decibels) Linear() float64 { return DBToLinear(float64(d)) }
@@ -77,9 +71,6 @@ func (d Decibels) Transmission() Transmission {
 
 // Plus adds two decibel quantities (cascaded losses/gains).
 func (d Decibels) Plus(o Decibels) Decibels { return d + o }
-
-// Minus subtracts a decibel quantity.
-func (d Decibels) Minus(o Decibels) Decibels { return d - o }
 
 // Scale multiplies by a dimensionless factor (e.g. dB/cm · cm).
 func (d Decibels) Scale(k float64) Decibels { return d * Decibels(k) }

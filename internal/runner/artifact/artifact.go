@@ -166,9 +166,6 @@ func NewDisk(dir string) (*Disk, error) {
 	return &Disk{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Disk) Dir() string { return s.dir }
-
 // Location implements Locator.
 func (s *Disk) Location() string { return s.dir }
 

@@ -125,12 +125,6 @@ func UniformWeights(modes int) []float64 {
 	return w
 }
 
-// SplitWeights builds a weight vector from explicit fractions (e.g. the
-// paper's 66%/33% sensitivity point). The fractions must sum to 1.
-func SplitWeights(fracs ...float64) []float64 {
-	return append([]float64(nil), fracs...)
-}
-
 // SingleMode is the base mNoC: one broadcast mode (the "1M" design).
 func SingleMode(n int) *Topology {
 	return New(n, 1, "1M")
