@@ -16,9 +16,8 @@ import (
 // faultCmd sweeps device-fault intensity over a workload and reports
 // the degradation curve: delivered-vs-offered reliability and the power
 // overhead of the recovery controller against a fault-oblivious
-// baseline. Both runs see the *same* deterministic
-// fault schedule at each sweep point, so the comparison isolates the
-// recovery ladder. Sweep points run in parallel on the worker pool;
+// baseline. Both runs see the *same* deterministic fault schedule at
+// each sweep point, so the comparison isolates the recovery ladder. Sweep points run in parallel on the worker pool;
 // output is deterministic for fixed flags.
 func faultCmd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	def := runner.DefaultFaultConfig()
