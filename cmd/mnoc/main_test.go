@@ -78,6 +78,7 @@ func TestExitCodes(t *testing.T) {
 		{"benchjson check without -current", []string{"benchjson", "check"}, 2, "", "mnoc benchjson check"},
 		{"metricnames without file", []string{"metricnames"}, 2, "", "usage: mnoc metricnames"},
 		{"metricnames missing file", []string{"metricnames", filepath.Join(t.TempDir(), "none.json")}, 1, "", "mnoc metricnames: open"},
+		{"replay without -trace", []string{"replay"}, 1, "", "mnoc replay: need -trace (or -gen)"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -211,6 +212,32 @@ func TestCompareWorstGolden(t *testing.T) {
 	}
 	if got := mustRun(t, "compare", "-loss=worst", "-scale", "quick"); got != string(want) {
 		t.Errorf("compare -loss=worst differs from compare_worstcase.txt:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// replay -gen with seed 1 records the committed phase-shift trace, the
+// input of adapt-check and the CI adaptation smoke job.
+func TestReplayGenReproducesFixture(t *testing.T) {
+	want, err := os.ReadFile("../../testdata/adapt/phase_shift.trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustRun(t, "replay", "-gen", "-seed", "1"); got != string(want) {
+		t.Errorf("replay -gen -seed 1 differs from phase_shift.trace (%d bytes, want %d)", len(got), len(want))
+	}
+}
+
+// Replaying the phase-shift trace against the default fault schedule
+// prints the golden decision log (the in-process twin of adapt-check).
+func TestReplayFaultsGolden(t *testing.T) {
+	want, err := os.ReadFile("../../testdata/golden/adapt_faults.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := mustRun(t, "replay", "-trace", "../../testdata/adapt/phase_shift.trace",
+		"-faults", "../../testdata/adapt/fault_default.sched")
+	if got != string(want) {
+		t.Errorf("replay under faults differs from adapt_faults.txt:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

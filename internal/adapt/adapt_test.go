@@ -111,6 +111,57 @@ func TestDecisionLogDeterminism(t *testing.T) {
 	}
 }
 
+// TestFinishSettlesTrailingTrigger pins the deferred settle: when the
+// phase change trips the trigger in the trace's last window, no later
+// window boundary exists to settle the re-solve, so Finish must log the
+// swap at the trailing window index.
+func TestFinishSettlesTrailingTrigger(t *testing.T) {
+	tr, err := workload.PhasedTrace(testN, []workload.Phase{
+		{Bench: "water_s", Cycles: 100_000, Flits: 2000},
+		{Bench: "radix", Cycles: 50_000, Flits: 1000},
+	}, 1)
+	if err != nil {
+		t.Fatalf("PhasedTrace: %v", err)
+	}
+	c, err := NewController(testConfig())
+	if err != nil {
+		t.Fatalf("NewController: %v", err)
+	}
+	for _, p := range tr.Packets {
+		if err := c.Observe(p); err != nil {
+			t.Fatalf("Observe: %v", err)
+		}
+	}
+	// Every packet precedes cycle 150k, so the last window (5) is
+	// still open: only Finish closes it.
+	const last = 5
+	before := len(c.Log())
+	if c.Windows() != last {
+		t.Fatalf("windows closed before Finish = %d, want %d", c.Windows(), last)
+	}
+	c.Finish()
+
+	log := c.Log()
+	got := log[before:]
+	if len(got) != 2 {
+		t.Fatalf("Finish logged %d decisions, want trigger + swap; log: %v", len(got), log)
+	}
+	if got[0].Window != last || !strings.HasPrefix(got[0].What, "trigger re-solve") {
+		t.Errorf("first Finish decision = %q, want the trigger at window %d", got[0], last)
+	}
+	if got[1].Window != last+1 || !strings.HasPrefix(got[1].What, fmt.Sprintf("swap -> gen 2 (trigger window %d,", last)) {
+		t.Errorf("second Finish decision = %q, want the swap at window %d", got[1], last+1)
+	}
+	st := c.Status()
+	if st.Pending {
+		t.Errorf("a re-solve is still pending after Finish")
+	}
+	if st.Generation != 2 || c.Active().Gen != 2 || c.Active().TriggerWindow != last {
+		t.Errorf("active design gen %d (trigger window %d), status gen %d; want gen 2 from window %d",
+			c.Active().Gen, c.Active().TriggerWindow, st.Generation, last)
+	}
+}
+
 func TestRuleEngineSuppression(t *testing.T) {
 	cfg := testConfig()
 	cfg.Lockstep = false
