@@ -17,8 +17,7 @@ import (
 )
 
 // replayCmd feeds a recorded traffic trace through the online
-// adaptation controller (internal/adapt) in lockstep, printing the
-// decision log — the offline twin of `mnoc serve -adapt`. With -gen it
+// adaptation controller (internal/adapt), printing the decision log — the offline twin of `mnoc serve -adapt`. With -gen it
 // instead records a phased workload trace in the canonical text format
 // (docs/ADAPT.md), the input the replay and CI smoke jobs consume.
 func replayCmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
@@ -50,11 +49,12 @@ func replayCmd(_ context.Context, args []string, stdout, stderr io.Writer) error
 	if s.tracePath == "" {
 		return fmt.Errorf("need -trace (or -gen); run 'mnoc replay -h'")
 	}
-	reg := telemetry.NewRegistry()
-	c, tr, err := s.controller(reg)
+	c, tr, err := s.controller()
 	if err != nil {
 		return err
 	}
+	reg := telemetry.NewRegistry()
+	c.Instrument(reg)
 	begin := time.Now()
 	if err := s.replay(c, tr); err != nil {
 		return err
@@ -93,10 +93,9 @@ type adaptSetup struct {
 }
 
 // controller loads the trace and the optional fault schedule and builds
-// the adaptation controller, publishing into tel. Lockstep is on: the
-// feeder joins each background re-solve at the next window boundary, so
-// the decision log is a deterministic function of the trace and seed.
-func (s adaptSetup) controller(tel *telemetry.Registry) (*adapt.Controller, *trace.Trace, error) {
+// the adaptation controller; bind its metrics with Instrument. The
+// decision log is a deterministic function of the trace and seed.
+func (s adaptSetup) controller() (*adapt.Controller, *trace.Trace, error) {
 	tr, err := readFile(s.tracePath, adapt.ParseTrace)
 	if err != nil {
 		return nil, nil, err
@@ -107,8 +106,6 @@ func (s adaptSetup) controller(tel *telemetry.Registry) (*adapt.Controller, *tra
 		Seed:         s.seed,
 		QAPIters:     s.qapIters,
 		GuardDB:      phys.Decibels(s.guardDB),
-		Lockstep:     true,
-		Tel:          tel,
 	}
 	if s.faultsPath != "" {
 		if cfg.Faults, err = readFile(s.faultsPath, fault.Parse); err != nil {

@@ -9,7 +9,6 @@ import (
 	"mnoc/internal/adapt"
 	"mnoc/internal/fleet"
 	"mnoc/internal/server"
-	"mnoc/internal/telemetry"
 	"mnoc/internal/trace"
 )
 
@@ -67,8 +66,7 @@ func serveCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 			return fmt.Errorf("-adapt needs -adapt-trace (record one with 'mnoc replay -gen')")
 		}
 		as.seed = *seed
-		// The registry is rebound to the server's before feeding.
-		if ctrl, adaptTr, err = as.controller(telemetry.NewRegistry()); err != nil {
+		if ctrl, adaptTr, err = as.controller(); err != nil {
 			return err
 		}
 	}

@@ -40,18 +40,16 @@ func testConfig() Config {
 		WindowCycles: 25_000,
 		Seed:         7,
 		QAPIters:     200,
-		Lockstep:     true,
 	}
 }
 
 func TestPhaseShiftTriggersResolveAndSwap(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := testConfig()
-	cfg.Tel = reg
-	c, err := NewController(cfg)
+	c, err := NewController(testConfig())
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
+	c.Instrument(reg)
 	if err := c.Replay(phaseShiftTrace(t, 1), nil); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -163,18 +161,16 @@ func TestFinishSettlesTrailingTrigger(t *testing.T) {
 }
 
 func TestRuleEngineSuppression(t *testing.T) {
-	cfg := testConfig()
-	cfg.Lockstep = false
-	c, err := NewController(cfg)
+	c, err := NewController(testConfig())
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
-	c.drift = 0.9 // above DriftHigh
+	c.drift = 0.9 // above driftHigh
 
-	// An in-flight solve suppresses.
-	c.pending = &solveJob{done: make(chan solveResult, 1)}
+	// An open regression watch suppresses.
+	c.watch = &regressionWatch{}
 	c.maybeTrigger(5)
-	c.pending = nil
+	c.watch = nil
 	// Cooldown suppresses.
 	c.cooldownUntil = 10
 	c.maybeTrigger(6)
@@ -189,7 +185,7 @@ func TestRuleEngineSuppression(t *testing.T) {
 	if c.stats.Triggers != 0 {
 		t.Fatalf("triggers = %d, want 0", c.stats.Triggers)
 	}
-	wants := []string{"re-solve in flight", "cooldown until window 10", "min re-solve gap"}
+	wants := []string{"regression watch active", "cooldown until window 10", "min re-solve gap"}
 	for i, want := range wants {
 		if !strings.Contains(c.log[i].What, want) {
 			t.Errorf("log[%d] = %q, want substring %q", i, c.log[i].What, want)
@@ -203,22 +199,19 @@ func TestHysteresisRearm(t *testing.T) {
 		t.Fatalf("NewController: %v", err)
 	}
 	c.armed = false
-	c.drift = c.cfg.Rules.DriftLow + 0.01
+	c.drift = driftLow + 0.01
 	c.closeWindow()
 	// drift recomputes in closeWindow; with no traffic the estimate is
 	// untouched (ewma nil -> drift 0), so the re-arm path runs.
 	if !c.armed {
-		t.Fatalf("controller did not re-arm once drift fell below DriftLow")
+		t.Fatalf("controller did not re-arm once drift fell below driftLow")
 	}
 }
 
 // TestRollbackOnRegression forces a regression watch whose new design
 // prices worse than the old on the observed traffic.
 func TestRollbackOnRegression(t *testing.T) {
-	cfg := testConfig()
-	cfg.Rules = DefaultRules()
-	cfg.Rules.RegressionFrac = 0.0001
-	c, err := NewController(cfg)
+	c, err := NewController(testConfig())
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
@@ -233,7 +226,7 @@ func TestRollbackOnRegression(t *testing.T) {
 	cold.Counts[0][1] = 0
 	cold.Counts[1][0] = 1
 	mk := func(m *trace.Matrix, gen uint64) *Design {
-		net, err := power.NewMNoC(c.cfg.Power, c.cfg.Topology, power.SampledWeighting(m))
+		net, err := power.NewMNoC(c.pcfg, c.topo, power.SampledWeighting(m))
 		if err != nil {
 			t.Fatalf("NewMNoC: %v", err)
 		}

@@ -1,6 +1,6 @@
 // The adaptive controller: windowed observation, the trigger rule
-// engine, background re-solving with a warm-started QAP, the atomic
-// design swap, and rollback-on-regression.
+// engine, re-solving with a warm-started QAP, the atomic design swap,
+// and rollback-on-regression.
 
 package adapt
 
@@ -10,11 +10,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mnoc/internal/dynamic"
 	"mnoc/internal/fault"
 	"mnoc/internal/mapping"
 	"mnoc/internal/phys"
 	"mnoc/internal/power"
 	"mnoc/internal/telemetry"
+	"mnoc/internal/topo"
 	"mnoc/internal/trace"
 )
 
@@ -27,12 +29,14 @@ const marginTol = 1e-9
 // RCU-style atomic pointer: readers load it once and never observe a
 // torn design.
 type Controller struct {
-	cfg Config
+	cfg  Config
+	pcfg power.Config   // device configuration, power.DefaultConfig(N)
+	topo *topo.Topology // the 2-mode distance-based halves partition
 
 	active atomic.Pointer[Design]
 
 	// met mirrors the internal tallies into telemetry (handles are
-	// nil-safe when cfg.Tel is nil).
+	// nil-safe until Instrument binds them).
 	met struct {
 		windows, triggers, resolves, swaps *telemetry.Counter
 		rollbacks, suppressed, rejected    *telemetry.Counter
@@ -65,20 +69,17 @@ type Controller struct {
 	log   []Decision
 }
 
-// solveJob is one in-flight background re-solve.
+// solveJob is one re-solve awaiting its settle at the window boundary
+// after its trigger.
 type solveJob struct {
 	window uint64  // trigger window
 	drift  float64 // drift estimate at trigger
-	done   chan solveResult
-}
-
-type solveResult struct {
 	design *Design
 	err    error
 }
 
 // regressionWatch prices the previous and current design on the
-// observed traffic for RollbackWindows windows after a swap.
+// observed traffic for rollbackWindows windows after a swap.
 type regressionWatch struct {
 	prev, next   *Design
 	windows      uint64
@@ -112,39 +113,31 @@ type Status struct {
 // NewController validates the configuration, solves the initial
 // uniform-weighted design (generation 0) and returns a ready loop.
 func NewController(cfg Config) (*Controller, error) {
-	cfg = cfg.withDefaults()
+	if cfg.WindowCycles == 0 {
+		cfg.WindowCycles = 25_000
+	}
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("adapt: N = %d, want >= 2", cfg.N)
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		return nil, fmt.Errorf("adapt: Alpha = %v, want in (0, 1]", cfg.Alpha)
 	}
 	if cfg.GuardDB < 0 {
 		return nil, fmt.Errorf("adapt: GuardDB = %v", float64(cfg.GuardDB))
 	}
-	if err := cfg.Rules.Validate(); err != nil {
-		return nil, err
+	t, err := topo.DistanceModes(cfg.N, 2)
+	if err != nil {
+		return nil, fmt.Errorf("adapt: topology: %w", err)
 	}
-	if cfg.Topology == nil {
-		t, err := defaultTopology(cfg.N)
-		if err != nil {
-			return nil, fmt.Errorf("adapt: default topology: %w", err)
-		}
-		cfg.Topology = t
-	}
-	if cfg.Topology.N != cfg.N {
-		return nil, fmt.Errorf("adapt: topology for %d nodes, stream for %d", cfg.Topology.N, cfg.N)
-	}
-	net, err := power.NewMNoC(cfg.Power, cfg.Topology, power.UniformWeighting(cfg.Topology.Modes))
+	pcfg := power.DefaultConfig(cfg.N)
+	net, err := power.NewMNoC(pcfg, t, power.UniformWeighting(t.Modes))
 	if err != nil {
 		return nil, fmt.Errorf("adapt: solving initial design: %w", err)
 	}
 	c := &Controller{
 		cfg:   cfg,
+		pcfg:  pcfg,
+		topo:  t,
 		cur:   trace.NewMatrix(cfg.N),
 		armed: true,
 	}
-	c.Instrument(cfg.Tel)
 
 	initial := &Design{
 		Gen:        0,
@@ -153,7 +146,6 @@ func NewController(cfg Config) (*Controller, error) {
 		Ref:        uniformReference(cfg.N),
 	}
 	c.active.Store(initial)
-	c.met.generation.Set(0)
 
 	if cfg.Faults != nil {
 		if cfg.Faults.N != cfg.N {
@@ -221,8 +213,8 @@ func (c *Controller) Observe(p trace.Packet) error {
 	return nil
 }
 
-// Finish closes any trailing partial window and joins a pending
-// background solve, flushing its decision into the log.
+// Finish closes any trailing partial window and settles a pending
+// re-solve, flushing its decision into the log.
 func (c *Controller) Finish() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -230,8 +222,7 @@ func (c *Controller) Finish() {
 		c.closeWindow()
 	}
 	if c.pending != nil {
-		res := <-c.pending.done
-		c.finishSolve(c.window, c.pending, res)
+		c.finishSolve(c.window, c.pending)
 		c.pending = nil
 	}
 }
@@ -288,7 +279,7 @@ func (c *Controller) Status() Status {
 	return Status{
 		Generation: c.gen,
 		N:          c.cfg.N,
-		Topology:   c.cfg.Topology.Name,
+		Topology:   c.topo.Name,
 		Window:     c.window,
 		Drift:      c.drift,
 		LossRate:   c.lossRate,
@@ -312,7 +303,7 @@ func (c *Controller) closeWindow() {
 		if c.ewma == nil {
 			c.ewma = norm
 		} else {
-			ewmaUpdate(c.ewma, norm, c.cfg.Alpha)
+			ewmaUpdate(c.ewma, norm, ewmaAlpha)
 		}
 	}
 	active := c.active.Load()
@@ -327,21 +318,10 @@ func (c *Controller) closeWindow() {
 	c.met.drift.Set(c.drift)
 	c.met.lossRate.Set(c.lossRate)
 
-	// Settle a pending solve: lockstep joins it at the boundary so the
-	// swap window is deterministic; live mode polls and lets it ride.
+	// Settle the re-solve the previous window triggered.
 	if c.pending != nil {
-		if c.cfg.Lockstep {
-			res := <-c.pending.done
-			c.finishSolve(w, c.pending, res)
-			c.pending = nil
-		} else {
-			select {
-			case res := <-c.pending.done:
-				c.finishSolve(w, c.pending, res)
-				c.pending = nil
-			default:
-			}
-		}
+		c.finishSolve(w, c.pending)
+		c.pending = nil
 	}
 
 	// Regression watch: price both designs on this window's traffic.
@@ -350,10 +330,10 @@ func (c *Controller) closeWindow() {
 	}
 
 	// Rule engine.
-	if !c.armed && c.drift < c.cfg.Rules.DriftLow && c.lossRate < c.cfg.Rules.LossLow {
+	if !c.armed && c.drift < driftLow && c.lossRate < lossLow {
 		c.armed = true
 	}
-	if c.armed && (c.drift >= c.cfg.Rules.DriftHigh || c.lossRate >= c.cfg.Rules.LossHigh) {
+	if c.armed && (c.drift >= driftHigh || c.lossRate >= lossHigh) {
 		c.maybeTrigger(w)
 	}
 
@@ -367,8 +347,8 @@ func (c *Controller) closeWindow() {
 	c.window++
 }
 
-// maybeTrigger applies the suppression rules and, if clear, starts a
-// background re-solve. Callers hold c.mu.
+// maybeTrigger applies the suppression rules and, if clear, runs a
+// re-solve. Callers hold c.mu.
 func (c *Controller) maybeTrigger(w uint64) {
 	suppress := func(why string) {
 		c.stats.Suppressed++
@@ -376,14 +356,12 @@ func (c *Controller) maybeTrigger(w uint64) {
 		c.logf(w, "suppressed (%s): drift %.3f loss %.3f", why, c.drift, c.lossRate)
 	}
 	switch {
-	case c.pending != nil:
-		suppress("re-solve in flight")
 	case c.watch != nil:
 		suppress("regression watch active")
 	case w < c.cooldownUntil:
 		suppress(fmt.Sprintf("cooldown until window %d", c.cooldownUntil))
-	case c.hasTriggered && w-c.lastTrigger < c.cfg.Rules.MinResolveGapWindows:
-		suppress(fmt.Sprintf("min re-solve gap %d windows", c.cfg.Rules.MinResolveGapWindows))
+	case c.hasTriggered && w-c.lastTrigger < minResolveGapWindows:
+		suppress(fmt.Sprintf("min re-solve gap %d windows", minResolveGapWindows))
 	default:
 		c.stats.Triggers++
 		c.met.triggers.Inc()
@@ -394,43 +372,35 @@ func (c *Controller) maybeTrigger(w uint64) {
 	}
 }
 
-// startSolve snapshots the estimator state and launches the
-// background re-solve goroutine. Callers hold c.mu.
+// startSolve re-solves on a snapshot of the estimator state and holds
+// the candidate pending: the next window boundary (or Finish) settles
+// it, so the swap lands one window after its trigger. Callers hold
+// c.mu.
 func (c *Controller) startSolve(w uint64) {
-	job := &solveJob{window: w, drift: c.drift, done: make(chan solveResult, 1)}
-	obs := c.ewma.Clone()
-	prev := c.active.Load()
-	seed := c.cfg.Seed + int64(w) + 1
-	iters := c.cfg.QAPIters
-	cfg := c.cfg
-	met := c.met.resolveMS
-	c.pending = job
-	//mnoclint:allow goroleak the solver runs one bounded resolve and exits through the buffered done channel; abandoning a stale solve is the design (see collect)
-	go func() {
-		//mnoclint:allow determinism wall clock only feeds the adapt.resolve_ms telemetry histogram, never the decision log
-		begin := time.Now()
-		d, err := resolve(cfg, obs, prev, w, seed, iters)
-		met.Observe(float64(time.Since(begin)) / float64(time.Millisecond))
-		job.done <- solveResult{design: d, err: err}
-	}()
+	//mnoclint:allow determinism wall clock only feeds the adapt.resolve_ms telemetry histogram, never the decision log
+	begin := time.Now()
+	d, err := c.resolve(c.ewma.Clone(), c.active.Load(), w)
+	c.met.resolveMS.Observe(float64(time.Since(begin)) / float64(time.Millisecond))
+	c.pending = &solveJob{window: w, drift: c.drift, design: d, err: err}
 }
 
-// resolve is the background re-solve: a tabu-search QAP re-mapping
-// warm-started from the previous assignment (cost from the previous
-// design's per-mode source power), then a sampled-weight splitter
-// re-design for the re-mapped traffic. Pure: deterministic in
-// (obs, prev, seed).
-func resolve(cfg Config, obs *trace.Matrix, prev *Design, window uint64, seed int64, iters int) (*Design, error) {
+// resolve is the re-solve: a tabu-search QAP re-mapping warm-started
+// from the previous assignment (cost from the previous design's
+// per-mode source power, seed Seed+window+1), then a sampled-weight
+// splitter re-design for the re-mapped traffic. Deterministic in
+// (obs, prev, window).
+func (c *Controller) resolve(obs *trace.Matrix, prev *Design, window uint64) (*Design, error) {
 	prob, err := mapping.NewProblem(obs.Counts, prev.Net.ModeCostMatrix())
 	if err != nil {
 		return nil, fmt.Errorf("adapt: re-solve QAP: %w", err)
 	}
-	asg := prob.Taboo(prev.Assignment, mapping.TabooOptions{Iterations: iters, Seed: seed})
+	seed := c.cfg.Seed + int64(window) + 1
+	asg := prob.Taboo(prev.Assignment, mapping.TabooOptions{Iterations: c.cfg.QAPIters, Seed: seed})
 	mapped, err := obs.Permute(asg)
 	if err != nil {
 		return nil, fmt.Errorf("adapt: re-solve: %w", err)
 	}
-	net, err := power.NewMNoC(cfg.Power, cfg.Topology, power.SampledWeighting(mapped))
+	net, err := power.NewMNoC(c.pcfg, c.topo, power.SampledWeighting(mapped))
 	if err != nil {
 		return nil, fmt.Errorf("adapt: re-solve splitters: %w", err)
 	}
@@ -442,17 +412,17 @@ func resolve(cfg Config, obs *trace.Matrix, prev *Design, window uint64, seed in
 	}, nil
 }
 
-// finishSolve settles a completed background solve at window w:
-// reject it on the escalation margin bound, or swap it in atomically
-// and open the regression watch. Callers hold c.mu.
-func (c *Controller) finishSolve(w uint64, job *solveJob, res solveResult) {
+// finishSolve settles a re-solve at window w: reject it on the
+// escalation margin bound, or swap it in atomically and open the
+// regression watch. Callers hold c.mu.
+func (c *Controller) finishSolve(w uint64, job *solveJob) {
 	c.stats.Resolves++
 	c.met.resolves.Inc()
-	if res.err != nil {
-		c.logf(w, "re-solve failed (trigger window %d): %v", job.window, res.err)
+	if job.err != nil {
+		c.logf(w, "re-solve failed (trigger window %d): %v", job.window, job.err)
 		return
 	}
-	if src, dst, short := c.marginViolation(w, res.design); short > 0 {
+	if src, dst, short := c.marginViolation(w, job.design); short > 0 {
 		c.stats.Rejected++
 		c.met.rejected.Inc()
 		c.logf(w, "reject candidate (trigger window %d): escalation margin bound violated at pair (%d,%d), %.2f dB short",
@@ -461,32 +431,32 @@ func (c *Controller) finishSolve(w uint64, job *solveJob, res solveResult) {
 	}
 	prev := c.active.Load()
 	c.gen++
-	d := res.design
+	d := job.design
 	d.Gen = c.gen
 	c.active.Store(d)
 	c.stats.Swaps++
 	c.met.swaps.Inc()
 	c.met.generation.Set(float64(c.gen))
-	c.cooldownUntil = w + c.cfg.Rules.CooldownWindows
+	c.cooldownUntil = w + cooldownWindows
 	if c.checker != nil {
 		c.checker = fault.NewChecker(c.faultState, fault.NewBudget(d.Net))
 		c.checker.GuardDB = c.cfg.GuardDB
 	}
-	if c.cfg.Rules.RollbackWindows > 0 {
-		c.watch = &regressionWatch{prev: prev, next: d}
-	}
+	c.watch = &regressionWatch{prev: prev, next: d}
 	c.logf(w, "swap -> gen %d (trigger window %d, drift %.3f)", c.gen, job.window, job.drift)
 }
 
 // marginViolation checks the escalation margin bound on a candidate:
 // every traffic-carrying pair must stay deliverable with the recovery
-// ladder's headroom (nominal+EscalateModes plus the guard band)
+// ladder's headroom (nominal+EscalateModes of the default recovery
+// policy, plus the guard band)
 // against the permanent path losses active at the window boundary.
 // It returns the worst violating pair (cores) and its shortfall in
 // dB, or a zero shortfall when the bound holds.
 func (c *Controller) marginViolation(w uint64, cand *Design) (src, dst int, shortDB phys.Decibels) {
 	budget := fault.NewBudget(cand.Net)
 	modes := budget.Modes()
+	escalate := dynamic.DefaultRecoveryPolicy().EscalateModes
 	cycle := w * c.cfg.WindowCycles
 	for ts := range cand.Ref.Counts {
 		for td, v := range cand.Ref.Counts[ts] {
@@ -502,7 +472,7 @@ func (c *Controller) marginViolation(w uint64, cand *Design) (src, dst int, shor
 				}
 				permDB = loss.PermanentDB
 			}
-			maxMode := budget.NominalMode(s, d) + c.cfg.Rules.EscalateModes
+			maxMode := budget.NominalMode(s, d) + escalate
 			if maxMode > modes-1 {
 				maxMode = modes - 1
 			}
@@ -517,7 +487,7 @@ func (c *Controller) marginViolation(w uint64, cand *Design) (src, dst int, shor
 
 // watchWindow accumulates one regression-watch window: both designs
 // priced on the observed window traffic, roll back when the new
-// design regresses past RegressionFrac. Callers hold c.mu.
+// design regresses past regressionFrac. Callers hold c.mu.
 func (c *Controller) watchWindow(w uint64) {
 	wt := c.watch
 	cycles := float64(c.cfg.WindowCycles)
@@ -532,11 +502,11 @@ func (c *Controller) watchWindow(w uint64) {
 	wt.prevW += prevB.TotalWatts()
 	wt.nextW += nextB.TotalWatts()
 	wt.windows++
-	if wt.windows < c.cfg.Rules.RollbackWindows {
+	if wt.windows < rollbackWindows {
 		return
 	}
 	c.watch = nil
-	if wt.nextW > wt.prevW*(1+c.cfg.Rules.RegressionFrac) {
+	if wt.nextW > wt.prevW*(1+regressionFrac) {
 		c.gen++
 		rolled := &Design{
 			Gen:           c.gen,
@@ -549,7 +519,7 @@ func (c *Controller) watchWindow(w uint64) {
 		c.stats.Rollbacks++
 		c.met.rollbacks.Inc()
 		c.met.generation.Set(float64(c.gen))
-		c.cooldownUntil = w + c.cfg.Rules.CooldownWindows
+		c.cooldownUntil = w + cooldownWindows
 		if c.checker != nil {
 			c.checker = fault.NewChecker(c.faultState, fault.NewBudget(rolled.Net))
 			c.checker.GuardDB = c.cfg.GuardDB

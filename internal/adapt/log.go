@@ -1,8 +1,8 @@
 // The adaptation decision log: every trigger, suppression, swap,
-// rejection and rollback, in a canonical text form. With Lockstep set
-// the log is a deterministic function of (stream, schedule, config) —
-// two seeded runs produce byte-identical output — so it doubles as a
-// regression artifact.
+// rejection and rollback, in a canonical text form. The log is a
+// deterministic function of (stream, schedule, config) — two seeded
+// runs produce byte-identical output — so it doubles as a regression
+// artifact.
 
 package adapt
 

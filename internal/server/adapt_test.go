@@ -43,7 +43,7 @@ func TestHealthzDraining(t *testing.T) {
 	}
 }
 
-// adaptTestController builds a small lockstep controller and replays
+// adaptTestController builds a small controller and replays
 // the canonical phase-shift workload through it.
 func adaptTestController(t *testing.T) *adapt.Controller {
 	t.Helper()
@@ -52,7 +52,6 @@ func adaptTestController(t *testing.T) *adapt.Controller {
 		WindowCycles: 25_000,
 		Seed:         7,
 		QAPIters:     100,
-		Lockstep:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
