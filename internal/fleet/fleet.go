@@ -10,7 +10,7 @@
 //     ring node; admission 429s pass through untouched.
 //
 //   - Remote (artifact store over HTTP): an artifact.Store speaking
-//     GET/HEAD/PUT /artifacts/<key> against a backend running with
+//     GET/PUT /artifacts/<key> against a backend running with
 //     -artifact-serve, so replicas share one warm content-addressed
 //     cache. Fetched blobs are envelope-validated; a corrupt response
 //     counts as a miss, mirroring the local disk store's quarantine

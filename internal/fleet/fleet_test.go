@@ -138,7 +138,7 @@ func TestFleetSurvivesBackendDeathMidLoad(t *testing.T) {
 	}
 	// The load can finish before the 20 ms prober sees the drain, so
 	// wait for the eviction.
-	evictions := p.Telemetry().Counter(MetricProxyEvictions)
+	evictions := p.reg.Counter(MetricProxyEvictions)
 	deadline := time.Now().Add(5 * time.Second)
 	for evictions.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

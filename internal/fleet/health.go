@@ -50,12 +50,6 @@ func newHealth(backends []string, interval time.Duration, evict, readmit *teleme
 	}
 }
 
-func (h *health) isUp(backend string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.up[backend]
-}
-
 func (h *health) healthyCount() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()

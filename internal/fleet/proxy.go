@@ -88,9 +88,6 @@ func NewProxy(cfg ProxyConfig) (*Proxy, error) {
 // Ring exposes the routing ring (tests and /version).
 func (p *Proxy) Ring() *Ring { return p.ring }
 
-// Telemetry exposes the proxy's metric registry.
-func (p *Proxy) Telemetry() *telemetry.Registry { return p.reg }
-
 // Handler returns the proxy's HTTP surface. /healthz, /version and
 // /metrics are answered by the proxy itself (a fleet has its own
 // health and its own counters); every other path is routed to a

@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -126,6 +128,88 @@ func TestProxyRoutesByFlightKey(t *testing.T) {
 	}
 }
 
+// TestFlightKeyMatchesBackendKey pins that the proxy routes each API
+// request by the key the backend's flight group coalesces it on, so
+// placement and coalescing agree. Artifact paths route by path; a body
+// the backend would refuse falls back to the path plus a body digest.
+func TestFlightKeyMatchesBackendKey(t *testing.T) {
+	marshal := func(v any) []byte {
+		blob, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	digest := func(path string, body []byte) string {
+		sum := sha256.Sum256(body)
+		return path + "|" + hex.EncodeToString(sum[:8])
+	}
+	solve := server.SolveRequest{Bench: "fft", QAP: true}
+	eval := server.EvaluateRequest{Bench: "lu", Policy: "dist4", Scale: 2, LossModel: "worst"}
+	evalKey, err := eval.FlightKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench := server.BenchRequest{IDs: []string{"fig8"}, ID: "table1"}
+	truncated := []byte(`{"bench": "fft"`)
+	badLoss := marshal(server.EvaluateRequest{Bench: "lu", LossModel: "nosuch"})
+	adaptBody := marshal(map[string]string{"bench": "fft"})
+
+	cases := []struct {
+		name, path string
+		body       []byte
+		want       string
+	}{
+		{"solve", "/v1/solve", marshal(solve), solve.FlightKey()},
+		{"evaluate", "/v1/evaluate", marshal(eval), evalKey},
+		{"bench", "/v1/bench", marshal(bench), bench.FlightKey()},
+		{"artifact get", "/artifacts/0123abcd", nil, "/artifacts/0123abcd"},
+		{"artifact put", "/artifacts/0123abcd", []byte("MART blob"), "/artifacts/0123abcd"},
+		{"malformed solve", "/v1/solve", truncated, digest("/v1/solve", truncated)},
+		{"malformed evaluate", "/v1/evaluate", truncated, digest("/v1/evaluate", truncated)},
+		{"malformed bench", "/v1/bench", truncated, digest("/v1/bench", truncated)},
+		{"unknown loss model", "/v1/evaluate", badLoss, digest("/v1/evaluate", badLoss)},
+		{"other path", "/v1/adapt/evaluate", adaptBody, digest("/v1/adapt/evaluate", adaptBody)},
+	}
+	for _, c := range cases {
+		if got := flightKey(c.path, c.body); got != c.want {
+			t.Errorf("%s: flightKey(%s) = %q, want %q", c.name, c.path, got, c.want)
+		}
+	}
+}
+
+// TestProxyHealthzDrain pins the proxy's own /healthz: 200 while
+// serving, 503 "draining" once StartDrain runs, and never forwarded.
+func TestProxyHealthzDrain(t *testing.T) {
+	a, tsA := newStubBackend(t, "A")
+	p, proxy := newTestProxy(t, ProxyConfig{Backends: []string{tsA.URL}})
+	healthz := func() (int, string) {
+		t.Helper()
+		resp, err := http.Get(proxy.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Status string `json:"status"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body.Status
+	}
+	if code, status := healthz(); code != http.StatusOK || status != "ok" {
+		t.Fatalf("healthz before drain: %d %q, want 200 \"ok\"", code, status)
+	}
+	p.StartDrain()
+	if code, status := healthz(); code != http.StatusServiceUnavailable || status != "draining" {
+		t.Fatalf("healthz during drain: %d %q, want 503 \"draining\"", code, status)
+	}
+	if n := a.count(); n != 0 {
+		t.Fatalf("backend saw %d requests; /healthz is the proxy's own", n)
+	}
+}
+
 // TestProxyFailover kills a backend and checks the proxy retries the
 // next ring node with the request body intact, evicting the dead node.
 func TestProxyFailover(t *testing.T) {
@@ -137,7 +221,7 @@ func TestProxyFailover(t *testing.T) {
 	req := func(i int) server.SolveRequest { return server.SolveRequest{Bench: fmt.Sprintf("bench_%d", i)} }
 	ownedByA := -1
 	for i := 0; i < 100; i++ {
-		if p.Ring().Owner(req(i).FlightKey()) == tsA.URL {
+		if p.ring.Seq(req(i).FlightKey(), 1)[0] == tsA.URL {
 			ownedByA = i
 			break
 		}
@@ -155,7 +239,7 @@ func TestProxyFailover(t *testing.T) {
 	if string(body) != "B" {
 		t.Fatalf("failover landed on %q, want B", body)
 	}
-	snap := p.Telemetry().Snapshot()
+	snap := p.reg.Snapshot()
 	if snap.Counters[MetricProxyFailovers] == 0 {
 		t.Error("failover not counted")
 	}
@@ -199,7 +283,7 @@ func TestProxy429PassThrough(t *testing.T) {
 	var req server.SolveRequest
 	for i := 0; ; i++ {
 		req = server.SolveRequest{Bench: fmt.Sprintf("bench_%d", i)}
-		if p.Ring().Owner(req.FlightKey()) == busy.URL {
+		if p.ring.Seq(req.FlightKey(), 1)[0] == busy.URL {
 			break
 		}
 	}
@@ -210,7 +294,7 @@ func TestProxy429PassThrough(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "7" {
 		t.Fatalf("Retry-After %q, want 7 (pass-through)", got)
 	}
-	if n := p.Telemetry().Snapshot().Counters[MetricProxyFailovers]; n != 0 {
+	if n := p.reg.Snapshot().Counters[MetricProxyFailovers]; n != 0 {
 		t.Fatalf("429 triggered %d failovers; pushback must stay with the owner", n)
 	}
 }
@@ -299,22 +383,26 @@ func TestHealthProbeEvictsAndReadmits(t *testing.T) {
 			h.markDown(flappy.URL)
 		}
 	}
+	isUp := func() bool {
+		healthy, _ := h.partition([]string{flappy.URL})
+		return len(healthy) == 1
+	}
 	probeOnce()
-	if !h.isUp(flappy.URL) {
+	if !isUp() {
 		t.Fatal("healthy backend marked down")
 	}
 	downMu.Lock()
 	down = true
 	downMu.Unlock()
 	probeOnce()
-	if h.isUp(flappy.URL) {
+	if isUp() {
 		t.Fatal("draining backend still up after probe")
 	}
 	downMu.Lock()
 	down = false
 	downMu.Unlock()
 	probeOnce()
-	if !h.isUp(flappy.URL) {
+	if !isUp() {
 		t.Fatal("recovered backend not re-admitted")
 	}
 	snap := reg.Snapshot()

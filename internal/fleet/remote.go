@@ -15,7 +15,7 @@ import (
 )
 
 // Remote is an artifact.Store speaking HTTP against a backend running
-// with -artifact-serve (GET/HEAD/PUT /artifacts/<key>), so fleet
+// with -artifact-serve (GET/PUT /artifacts/<key>), so fleet
 // replicas share one warm content-addressed cache.
 //
 // The store is deliberately best-effort: a computation must never fail
@@ -95,21 +95,6 @@ func (r *Remote) Get(key artifact.Key) ([]byte, bool, error) {
 	r.hits.Add(1)
 	r.hitC.Inc()
 	return blob, true, nil
-}
-
-// Has reports whether key exists remotely, via HEAD (no body
-// transfer). Probe-only: it does not touch the hit/miss counters.
-func (r *Remote) Has(key artifact.Key) bool {
-	req, err := http.NewRequest(http.MethodHead, r.url(key), nil)
-	if err != nil {
-		return false
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 // Put implements artifact.Store. Writes are best-effort: a dropped

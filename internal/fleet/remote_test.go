@@ -41,9 +41,6 @@ func TestRemoteStoreRoundTrip(t *testing.T) {
 	if _, ok, err := r.Get(key); err != nil || ok {
 		t.Fatalf("get before put: ok=%v err=%v", ok, err)
 	}
-	if r.Has(key) {
-		t.Fatal("has before put")
-	}
 	if err := r.Put(key, blob); err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +50,6 @@ func TestRemoteStoreRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got, blob) {
 		t.Fatal("round trip mangled blob")
-	}
-	if !r.Has(key) {
-		t.Fatal("has after put")
 	}
 	if st := r.Stats(); st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.Corrupt != 0 {
 		t.Fatalf("stats %+v, want 1 hit / 1 miss / 1 put", st)
@@ -105,9 +99,6 @@ func TestRemoteStoreUnreachableDegrades(t *testing.T) {
 	}
 	if err := r.Put("deadbeefdeadbeef", artifact.EncodeSweep(nil)); err != nil {
 		t.Fatalf("put against dead host: %v, want nil (best-effort)", err)
-	}
-	if r.Has("deadbeefdeadbeef") {
-		t.Fatal("has against dead host")
 	}
 	if err := r.Ping(context.Background()); err == nil {
 		t.Fatal("ping against dead host must error (startup warning path)")

@@ -10,16 +10,16 @@ import (
 
 // Ring is an immutable consistent-hash ring over backend addresses.
 // Each backend contributes Replicas virtual nodes ("vnodes"); a key is
-// owned by the first vnode clockwise from its hash. Immutability is
-// what makes the stability properties trivial: With and Without build
-// a fresh ring from the backend *set*, so removing a backend restores
-// exactly the assignment the ring had before it joined — there is no
-// incremental state to drift.
+// owned by the first vnode clockwise from its hash. The ring is a pure
+// function of the backend *set*, which makes the stability properties
+// trivial: the ring built after a backend leaves assigns every key
+// exactly as the ring before it joined did — there is no incremental
+// state to drift.
 //
-// The proxy routes flight keys through Owner, so identical requests
-// coalesce at one replica; Seq yields the failover order (distinct
-// backends clockwise from the owner), so retries after a connection
-// error stay deterministic too.
+// The proxy routes flight keys through Seq. Its first backend is the
+// key's owner, so identical requests coalesce at one replica; the rest
+// is the failover order (distinct backends clockwise from the owner),
+// so retries after a connection error stay deterministic too.
 type Ring struct {
 	backends []string // sorted, unique
 	replicas int
@@ -119,13 +119,9 @@ func (r *Ring) slot(key string) int {
 	return i
 }
 
-// Owner returns the backend that owns key.
-func (r *Ring) Owner(key string) string {
-	return r.backends[r.owner[r.slot(key)]]
-}
-
 // Seq returns the distinct backends in ring order starting at the
-// key's owner — the failover sequence. Its length is min(n, Size).
+// key's owner (the backend of the first vnode clockwise from its
+// hash) — the failover sequence. Its length is min(n, Size).
 func (r *Ring) Seq(key string, n int) []string {
 	if n > len(r.backends) {
 		n = len(r.backends)
@@ -141,29 +137,4 @@ func (r *Ring) Seq(key string, n int) []string {
 		out = append(out, r.backends[bi])
 	}
 	return out
-}
-
-// With returns a new ring with backend added (no-op copy if present).
-func (r *Ring) With(backend string) (*Ring, error) {
-	next, err := NewRing(append(append([]string(nil), r.backends...), backend), r.replicas)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: adding %s to ring: %w", backend, err)
-	}
-	return next, nil
-}
-
-// Without returns a new ring with backend removed. Removing the last
-// backend is an error — an empty ring can't route.
-func (r *Ring) Without(backend string) (*Ring, error) {
-	kept := make([]string, 0, len(r.backends))
-	for _, b := range r.backends {
-		if b != backend {
-			kept = append(kept, b)
-		}
-	}
-	next, err := NewRing(kept, r.replicas)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: removing %s from ring: %w", backend, err)
-	}
-	return next, nil
 }

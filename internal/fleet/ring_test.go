@@ -27,6 +27,9 @@ func ringOf(t *testing.T, backends ...string) *Ring {
 	return r
 }
 
+// owner is the backend the proxy routes key to first.
+func owner(r *Ring, key string) string { return r.Seq(key, 1)[0] }
+
 // TestRingStabilityOnGrowth pins the consistent-hashing contract: when
 // one backend joins an N-node ring, only the keys that the new node
 // now owns move — roughly K/(N+1) of K keys, and never more than
@@ -39,16 +42,13 @@ func TestRingStabilityOnGrowth(t *testing.T) {
 
 	before := make([]string, samples)
 	for i, k := range keys {
-		before[i] = r.Owner(k)
+		before[i] = owner(r, k)
 	}
 
-	grown, err := r.With("http://e:1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	grown := ringOf(t, append(backends, "http://e:1")...)
 	moved := 0
 	for i, k := range keys {
-		after := grown.Owner(k)
+		after := owner(grown, k)
 		if after != before[i] {
 			moved++
 			// Every moved key must have moved TO the new node; keys
@@ -68,26 +68,33 @@ func TestRingStabilityOnGrowth(t *testing.T) {
 	t.Logf("growth moved %d/%d keys (ideal %d)", moved, samples, ideal)
 }
 
-// TestRingRemovalRestoresAssignment pins the other direction: removing
-// the backend that just joined restores the prior assignment exactly,
-// for every sampled key. This falls out of the ring being a pure
-// function of the backend set.
+// TestRingRemovalRestoresAssignment pins the other direction: the ring
+// rebuilt without the backend that just joined restores the prior
+// assignment exactly, for every sampled key. This falls out of the
+// ring being a pure function of the backend set.
 func TestRingRemovalRestoresAssignment(t *testing.T) {
 	keys := sampleKeys(10_000)
 	r := ringOf(t, "http://a:1", "http://b:1", "http://c:1")
+	grown := ringOf(t, "http://a:1", "http://b:1", "http://c:1", "http://d:1")
 
-	grown, err := r.With("http://d:1")
-	if err != nil {
-		t.Fatal(err)
+	var kept []string
+	for _, b := range grown.Backends() {
+		if b != "http://d:1" {
+			kept = append(kept, b)
+		}
 	}
-	shrunk, err := grown.Without("http://d:1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	shrunk := ringOf(t, kept...)
+	joined := 0
 	for _, k := range keys {
-		if got, want := shrunk.Owner(k), r.Owner(k); got != want {
+		if owner(grown, k) == "http://d:1" {
+			joined++
+		}
+		if got, want := owner(shrunk, k), owner(r, k); got != want {
 			t.Fatalf("key %q: owner %s after add+remove, want %s", k, got, want)
 		}
+	}
+	if joined == 0 {
+		t.Fatal("the joined backend owned no sampled key; the round trip exercised nothing")
 	}
 }
 
@@ -99,7 +106,7 @@ func TestRingBalance(t *testing.T) {
 	r := ringOf(t, backends...)
 	load := make(map[string]int)
 	for _, k := range keys {
-		load[r.Owner(k)]++
+		load[owner(r, k)]++
 	}
 	mean := len(keys) / len(backends)
 	for _, b := range backends {
@@ -110,7 +117,8 @@ func TestRingBalance(t *testing.T) {
 }
 
 // TestRingSeq pins the failover order contract: Seq starts at the
-// owner, lists distinct backends, and covers the whole ring.
+// backend of the first vnode clockwise from the key's hash, lists
+// distinct backends, and covers the whole ring.
 func TestRingSeq(t *testing.T) {
 	r := ringOf(t, "http://a:1", "http://b:1", "http://c:1")
 	for _, k := range sampleKeys(100) {
@@ -118,8 +126,8 @@ func TestRingSeq(t *testing.T) {
 		if len(seq) != 3 {
 			t.Fatalf("seq length %d, want 3 (ring size)", len(seq))
 		}
-		if seq[0] != r.Owner(k) {
-			t.Fatalf("seq[0]=%s, want owner %s", seq[0], r.Owner(k))
+		if want := r.backends[r.owner[r.slot(k)]]; seq[0] != want {
+			t.Fatalf("seq[0]=%s, want owner %s", seq[0], want)
 		}
 		seen := map[string]bool{}
 		for _, b := range seq {
@@ -137,7 +145,7 @@ func TestRingDeterministicConstruction(t *testing.T) {
 	a := ringOf(t, "http://a:1", "http://b:1", "http://c:1")
 	b := ringOf(t, "http://c:1", "http://a:1", "http://b:1", "http://a:1")
 	for _, k := range sampleKeys(1000) {
-		if a.Owner(k) != b.Owner(k) {
+		if owner(a, k) != owner(b, k) {
 			t.Fatalf("owner differs for %q across construction orders", k)
 		}
 	}
@@ -149,9 +157,5 @@ func TestRingErrors(t *testing.T) {
 	}
 	if _, err := NewRing([]string{""}, 0); err == nil {
 		t.Fatal("empty backend address must error")
-	}
-	r := ringOf(t, "http://a:1")
-	if _, err := r.Without("http://a:1"); err == nil {
-		t.Fatal("removing the last backend must error")
 	}
 }
