@@ -22,7 +22,6 @@ import (
 // so retries after a connection error stay deterministic too.
 type Ring struct {
 	backends []string // sorted, unique
-	replicas int
 	hashes   []uint64 // sorted vnode hashes
 	owner    []int    // owner[i] = index into backends for hashes[i]
 }
@@ -91,7 +90,6 @@ func NewRing(backends []string, replicas int) (*Ring, error) {
 	})
 	r := &Ring{
 		backends: uniq,
-		replicas: replicas,
 		hashes:   make([]uint64, len(vnodes)),
 		owner:    make([]int, len(vnodes)),
 	}
