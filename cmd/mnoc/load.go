@@ -21,7 +21,7 @@ func loadCmd(ctx context.Context, args []string, stdout, stderr io.Writer) error
 	fs := newFlagSet("load", stderr)
 	var (
 		url         = fs.String("url", "http://localhost:8080", "base URL of the running server")
-		addrList    = fs.String("addr", "", "comma-separated base URLs; workers round-robin across them (wins over -url)")
+		addrList    = fs.String("addr", "", "comma-separated base URLs; requests round-robin across them (wins over -url)")
 		requests    = fs.Int("requests", 1000, "total request count")
 		concurrency = fs.Int("concurrency", 32, "in-flight requests")
 		bench       = fs.String("bench", "", "single-benchmark mix: send only this workload (default: the built-in three-way mix)")

@@ -17,8 +17,9 @@ import (
 )
 
 // replayCmd feeds a recorded traffic trace through the online
-// adaptation controller (internal/adapt), printing the decision log — the offline twin of `mnoc serve -adapt`. With -gen it
-// instead records a phased workload trace in the canonical text format
+// adaptation controller (internal/adapt), printing the decision log —
+// the offline twin of `mnoc serve -adapt`. With -gen it instead
+// records a phased workload trace in the canonical text format
 // (docs/ADAPT.md), the input the replay and CI smoke jobs consume.
 func replayCmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("replay", stderr)

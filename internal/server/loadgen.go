@@ -23,8 +23,8 @@ type LoadOptions struct {
 	// BaseURL is the server root, e.g. "http://localhost:8080".
 	BaseURL string
 	// BaseURLs, when non-empty, wins over BaseURL and round-robins the
-	// load workers across several endpoints (worker w drives
-	// BaseURLs[w%len]): the direct-to-backends baseline to compare
+	// requests across several endpoints (request i goes to
+	// BaseURLs[i%len]): the direct-to-backends baseline to compare
 	// against a single through-proxy run (docs/FLEET.md).
 	BaseURLs []string
 	// Requests is the total request count.
@@ -144,10 +144,10 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadResult, error) {
 	var sent atomic.Int64
 	begin := time.Now()
 	fanout.Run(ctx, opts.Requests, opts.Concurrency, func(worker, i int) {
-		// Workers round-robin across the endpoint list, so a
-		// multi-endpoint run spreads load evenly without any
-		// cross-worker coordination.
-		url := bases[worker%len(bases)] + "/v1/solve"
+		// Requests round-robin across the endpoint list by index, so a
+		// multi-endpoint run spreads load evenly however the workers
+		// are scheduled.
+		url := bases[i%len(bases)] + "/v1/solve"
 		status := fireWithRetry(ctx, client, url, bodies[i%len(bodies)], lat, opts.Retries, rngs[worker], &retries, record)
 		sent.Add(1)
 		if status != http.StatusOK {
